@@ -1,33 +1,28 @@
-// bench_collective — bytes-on-wire and virtual-time wins of the collective
-// schedules (src/proto/collective.*) over the point-to-point reference, on
-// the deep/wide hierarchies where fusion pays.
+// bench_collective — bytes-on-wire and virtual-time wins of the fused
+// subtree reduce (src/proto/collective.*) over the point-to-point reference,
+// on the deep/wide hierarchies where fusion pays.
 //
 // Two deployments of the same 48-leaf workload: a Figure-13-style deep tree
 // (uniform_depth(48, 5)) and a wide 2-level star. For each, training runs
 // twice — collectives off (the legacy per-(class, batch) frames) and
 // collectives on (cost-model argmin per phase) — and the measured CommStats
 // give the bytes reduction; the CollectiveCostModel prices both measured
-// schedules on wired / WiFi links for the virtual-time makespan factor. A
-// primitive section measures ring vs tree all-reduce bytes among sibling
-// gateways against the model's estimate.
+// schedules on wired / WiFi links for the virtual-time makespan factor.
 //
 // Writes BENCH_collective.json. `--smoke` runs a small instance for CI.
 // Exits 1 when the deep-tree reduction falls below the 25% gate.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "hdc/random.hpp"
-#include "proto/bus.hpp"
 #include "proto/collective.hpp"
-#include "proto/node_runtime.hpp"
 
 namespace {
 
 using namespace edgehd;
-using proto::CollectiveAlgo;
 using proto::CollectiveCostModel;
 
 constexpr std::size_t kLeaves = 48;
@@ -123,79 +118,6 @@ bool report_topology(const char* tag, const data::Dataset& ds,
   return true;
 }
 
-hdc::AccumHV random_accum(std::size_t dim, std::int32_t magnitude,
-                          std::uint64_t seed) {
-  hdc::Rng rng(seed);
-  hdc::AccumHV acc(dim);
-  for (auto& v : acc) {
-    v = static_cast<std::int32_t>(rng.index(2 * magnitude + 1)) - magnitude;
-  }
-  return acc;
-}
-
-void report_all_reduce(std::size_t peers, std::size_t dim) {
-  std::printf("\nsibling-gateway all-reduce: %zu peers x %zu lanes\n", peers,
-              dim * 4);
-  bench::print_rule(72);
-  const auto topo = net::Topology::star(peers);
-  const CollectiveCostModel model(topo,
-                                  net::medium(net::MediumKind::kWired1G));
-
-  std::vector<proto::NodeRuntime> nodes(topo.num_nodes());
-  proto::LocalBus bus(topo.num_nodes());
-  for (net::NodeId id = 0; id < topo.num_nodes(); ++id) {
-    nodes[id].init(id, topo, dim, 4);
-    proto::NodeRuntime* rt = &nodes[id];
-    bus.subscribe(id, [rt](const proto::Envelope& e) { rt->on_envelope(e); });
-  }
-  const auto kids = topo.children(topo.root());
-  const std::vector<net::NodeId> peer_ids(kids.begin(), kids.end());
-
-  std::uint64_t state_bytes = 0;
-  const auto make_states = [&] {
-    std::vector<std::vector<hdc::AccumHV>> states;
-    for (std::size_t p = 0; p < peers; ++p) {
-      std::vector<hdc::AccumHV> st;
-      for (std::size_t c = 0; c < 4; ++c) {
-        st.push_back(random_accum(dim, 200, 40 + 7 * p + c));
-        state_bytes += hdc::wire_bytes_accum(st.back());
-      }
-      states.push_back(std::move(st));
-    }
-    return states;
-  };
-
-  for (const auto algo :
-       {CollectiveAlgo::kRingAllReduce, CollectiveAlgo::kTreeAllReduce}) {
-    state_bytes = 0;
-    auto states = make_states();
-    proto::CommStats stats;
-    bus.set_charge(&stats);
-    if (algo == CollectiveAlgo::kRingAllReduce) {
-      proto::ring_all_reduce(bus, nodes, topo, topo.root(), peer_ids, states);
-    } else {
-      proto::tree_all_reduce(bus, nodes, topo, topo.root(), peer_ids, states);
-    }
-    bus.set_charge(nullptr);
-    const auto est = model.all_reduce(algo, peers, state_bytes / peers);
-    const std::string base =
-        std::string("collective.all_reduce.") + proto::to_string(algo) + ".";
-    bench::via_registry(base + "measured_bytes",
-                        static_cast<double>(stats.bytes));
-    bench::via_registry(base + "model_bytes", static_cast<double>(est.bytes));
-    std::printf("%-16s measured %9llu B in %4llu frames   model %9llu B, "
-                "%7.2f ms\n",
-                proto::to_string(algo),
-                static_cast<unsigned long long>(stats.bytes),
-                static_cast<unsigned long long>(stats.messages),
-                static_cast<unsigned long long>(est.bytes),
-                static_cast<double>(est.time) / 1e6);
-  }
-  std::printf("cost-model pick (wired, this payload): %s\n",
-              proto::to_string(model.pick_all_reduce(
-                  peers, state_bytes / peers)));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -225,8 +147,6 @@ int main(int argc, char** argv) {
                         cfg, /*gate_pct=*/25.0);
   ok &= report_topology("wide", ds, net::Topology::star(kLeaves), cfg,
                         /*gate_pct=*/0.0);
-
-  report_all_reduce(/*peers=*/6, /*dim=*/smoke ? 128 : 512);
 
   bench::dump_metrics("BENCH_collective.json");
   if (!ok) return 1;

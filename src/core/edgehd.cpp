@@ -210,7 +210,7 @@ proto::RoutingContext EdgeHdSystem::routing_context() const {
   ctx.confidence_threshold = config_.confidence_threshold;
   ctx.compression = config_.compression;
   ctx.serve_degraded = config_.failover.serve_degraded;
-  ctx.max_retries = config_.failover.max_retries;
+  ctx.max_retries = config_.reliable.max_retries;
   ctx.escalations = &CoreObs::get().routed_escalations;
   return ctx;
 }

@@ -61,10 +61,6 @@ struct FailoverPolicy {
   /// instead — the fail-fast mode for callers that prefer an explicit error
   /// over a low-confidence answer.
   bool serve_degraded = true;
-  /// Retry cap assumed by the retry-byte accounting on lossy links: a hop
-  /// with loss p is charged the expected (1-p^(R+1))/(1-p) transmissions
-  /// per packet (matches net::ReliableConfig::max_retries).
-  std::size_t max_retries = 5;
 };
 
 /// Deployment-wide configuration (defaults are the paper's Section VI-A
@@ -121,9 +117,9 @@ struct SystemConfig {
   /// oracle survives only as world simulation (a dead origin cannot query).
   net::DetectorConfig detector;
   /// Reliable-transport retry policy for simulator-backed deployments of
-  /// this system (net::Simulator::send_reliable). The retry-byte accounting
-  /// in routed inference assumes failover.max_retries matches
-  /// reliable.max_retries (both default to 5).
+  /// this system (net::Simulator::send_reliable). Routed inference's
+  /// retry-byte accounting charges a hop with loss p the expected
+  /// (1-p^(R+1))/(1-p) transmissions per packet, R = reliable.max_retries.
   net::ReliableConfig reliable;
   /// Collective model-exchange schedules for the training sessions
   /// (proto/collective.hpp). Disabled by default: the legacy point-to-point
@@ -416,7 +412,7 @@ class EdgeHdSystem {
   /// encoder handles, classifier and protocol inboxes (src/proto).
   std::vector<proto::NodeRuntime> nodes_;
   /// Envelope delivery between the runtimes; every training-phase message
-  /// round-trips the real wire codec in transit (LocalBus::Codec::kEncoded).
+  /// round-trips the real wire codec in transit.
   std::unique_ptr<proto::LocalBus> bus_;
   std::vector<net::NodeId> leaves_;
 

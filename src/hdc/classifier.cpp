@@ -178,67 +178,6 @@ std::size_t HDClassifier::retrain(std::span<const BipolarHV> hvs,
   return errors;
 }
 
-std::size_t HDClassifier::retrain_epoch_packed(
-    std::span<const kernels::PackedQuery> packed,
-    std::span<const BipolarHV> hvs, std::span<const std::size_t> labels,
-    runtime::ThreadPool& pool) {
-  // Scan against the epoch-start model snapshot in parallel (cache warmed
-  // up front so workers only read it)…
-  ClassifierObs::get().retrain_epochs.inc();
-  warm_cache();
-  std::vector<std::size_t> predicted(packed.size());
-  runtime::parallel_for(pool, packed.size(), [&](std::size_t i) {
-    predicted[i] = argmax(similarities(packed[i]));
-  });
-  // …then apply perceptron updates serially, in ascending sample order.
-  std::size_t errors = 0;
-  for (std::size_t i = 0; i < packed.size(); ++i) {
-    if (predicted[i] != labels[i]) {
-      ++errors;
-      bundle_into(classes_[labels[i]], hvs[i]);
-      unbundle_from(classes_[predicted[i]], hvs[i]);
-      invalidate_cache(labels[i]);
-      invalidate_cache(predicted[i]);
-    }
-  }
-  ClassifierObs::get().retrain_updates.inc(errors);
-  return errors;
-}
-
-namespace {
-
-/// Packs every query once, fanned over the pool (disjoint slots).
-std::vector<kernels::PackedQuery> pack_queries(std::span<const BipolarHV> hvs,
-                                               runtime::ThreadPool& pool) {
-  std::vector<kernels::PackedQuery> packed(hvs.size());
-  runtime::parallel_for(pool, hvs.size(), [&](std::size_t i) {
-    packed[i] = kernels::pack_query(hvs[i]);
-  });
-  return packed;
-}
-
-}  // namespace
-
-std::size_t HDClassifier::retrain_epoch(std::span<const BipolarHV> hvs,
-                                        std::span<const std::size_t> labels,
-                                        runtime::ThreadPool& pool) {
-  assert(hvs.size() == labels.size());
-  return retrain_epoch_packed(pack_queries(hvs, pool), hvs, labels, pool);
-}
-
-std::size_t HDClassifier::retrain(std::span<const BipolarHV> hvs,
-                                  std::span<const std::size_t> labels,
-                                  runtime::ThreadPool& pool) {
-  // Queries are scanned every epoch but never change: pack once up front.
-  const auto packed = pack_queries(hvs, pool);
-  std::size_t errors = 0;
-  for (std::size_t e = 0; e < config_.retrain_epochs; ++e) {
-    errors = retrain_epoch_packed(packed, hvs, labels, pool);
-    if (errors == 0) break;
-  }
-  return errors;
-}
-
 std::vector<double> HDClassifier::similarities(
     const kernels::PackedQuery& query) const {
   assert(query.dim == dim_);

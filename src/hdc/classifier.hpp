@@ -82,24 +82,6 @@ class HDClassifier {
   std::size_t retrain(std::span<const BipolarHV> hvs,
                       std::span<const std::size_t> labels);
 
-  /// Parallel perceptron epoch: the misclassification scan runs over `pool`
-  /// against a snapshot of the epoch-start model, then the updates for every
-  /// misclassified sample are applied serially in ascending sample order.
-  /// This is the classic batch (synchronous) perceptron variant: unlike the
-  /// serial retrain_epoch(), updates within an epoch do not affect later
-  /// predictions in the same epoch — which is exactly what makes the result
-  /// bit-identical for any worker count. Returns misclassifications seen.
-  std::size_t retrain_epoch(std::span<const BipolarHV> hvs,
-                            std::span<const std::size_t> labels,
-                            runtime::ThreadPool& pool);
-
-  /// Runs the parallel retrain_epoch for config().retrain_epochs passes
-  /// (or until an epoch makes no mistakes); epochs stay serial with respect
-  /// to each other. Returns errors in the final epoch.
-  std::size_t retrain(std::span<const BipolarHV> hvs,
-                      std::span<const std::size_t> labels,
-                      runtime::ThreadPool& pool);
-
   // ---- inference ---------------------------------------------------------
   //
   // Inference runs on packed class memory: each class accumulator is
@@ -222,12 +204,6 @@ class HDClassifier {
   void invalidate_cache() noexcept;
   /// Rebuilds class `c`'s cache entry if stale. Single-threaded only.
   void ensure_cache(std::size_t c) const;
-
-  /// Shared parallel perceptron epoch over pre-packed queries.
-  std::size_t retrain_epoch_packed(std::span<const kernels::PackedQuery> packed,
-                                   std::span<const BipolarHV> hvs,
-                                   std::span<const std::size_t> labels,
-                                   runtime::ThreadPool& pool);
 
   std::size_t dim_;
   ClassifierConfig config_;

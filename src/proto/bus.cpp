@@ -52,8 +52,7 @@ std::uint64_t account_delivery(const Message& msg) {
 
 // ---- LocalBus --------------------------------------------------------------
 
-LocalBus::LocalBus(std::size_t num_nodes, Codec codec)
-    : handlers_(num_nodes), codec_(codec) {}
+LocalBus::LocalBus(std::size_t num_nodes) : handlers_(num_nodes) {}
 
 void LocalBus::subscribe(net::NodeId node, Handler handler) {
   if (node >= handlers_.size()) {
@@ -74,10 +73,6 @@ void LocalBus::post(Envelope env) {
   const Handler& handler = handlers_[env.dst];
   if (!handler) return;  // no consumer: the envelope is dropped
   ++delivered_;
-  if (codec_ == Codec::kInMemory) {
-    handler(env);
-    return;
-  }
   const std::vector<std::uint8_t> frame = encode(env);
   const DecodeResult result = decode(frame);
   if (!result.ok()) {

@@ -1,14 +1,10 @@
 #include "collective.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 namespace edgehd::proto {
 
-using hdc::AccumHV;
 using net::NodeId;
 using net::SimTime;
 
@@ -18,10 +14,6 @@ const char* to_string(CollectiveAlgo algo) noexcept {
       return "point_to_point";
     case CollectiveAlgo::kTreeReduce:
       return "tree_reduce";
-    case CollectiveAlgo::kRingAllReduce:
-      return "ring_all_reduce";
-    case CollectiveAlgo::kTreeAllReduce:
-      return "tree_all_reduce";
   }
   return "unknown";
 }
@@ -84,56 +76,6 @@ CollectiveCosts CollectiveCostModel::broadcast_from_root(
   return reduce_to_root(1, bytes_per_edge);
 }
 
-CollectiveCosts CollectiveCostModel::all_reduce(
-    CollectiveAlgo algo, std::size_t peers,
-    std::uint64_t bytes_per_peer) const {
-  CollectiveCosts costs;
-  if (peers < 2 || bytes_per_peer == 0) return costs;
-  const auto p = static_cast<std::uint64_t>(peers);
-  // Every logical transfer is relayed through the shared parent: two
-  // physical hops (peer -> parent -> peer).
-  constexpr std::uint64_t kRelayHops = 2;
-  std::uint64_t transfers = 0;       // logical transfers in total
-  std::uint64_t transfer_bytes = 0;  // bytes of one logical transfer
-  std::uint64_t rounds = 0;          // synchronized steps
-  std::uint64_t per_round = 0;       // parallel transfers within a step
-  switch (algo) {
-    case CollectiveAlgo::kRingAllReduce:
-      // Reduce-scatter + all-gather: 2(P-1) steps, every peer forwarding a
-      // 1/P chunk each step.
-      transfer_bytes = (bytes_per_peer + p - 1) / p;
-      rounds = 2 * (p - 1);
-      per_round = p;
-      transfers = rounds * per_round;
-      break;
-    case CollectiveAlgo::kTreeAllReduce:
-      // Binomial reduce to one peer then mirror broadcast: 2*ceil(log2 P)
-      // rounds of whole payloads, 2(P-1) transfers in total.
-      transfer_bytes = bytes_per_peer;
-      rounds = 2 * static_cast<std::uint64_t>(
-                       std::bit_width(p - 1));  // ceil(log2 P)
-      transfers = 2 * (p - 1);
-      per_round = (transfers + rounds - 1) / rounds;
-      break;
-    default:
-      throw std::invalid_argument(
-          "CollectiveCostModel: all_reduce prices ring/tree schedules only");
-  }
-  const SimTime leg = hop_time(1, transfer_bytes);
-  if (medium_.shared_domain) {
-    // One collision domain: every physical hop serializes.
-    costs.time = static_cast<SimTime>(transfers * kRelayHops) * leg;
-  } else {
-    // Wired: transfers within a round run in parallel; the relay's two legs
-    // still serialize per transfer.
-    costs.time = static_cast<SimTime>(rounds * kRelayHops) * leg;
-  }
-  costs.bytes = transfers * kRelayHops * transfer_bytes;
-  costs.energy_j =
-      static_cast<double>(transfers * kRelayHops) * hop_energy(1, transfer_bytes);
-  return costs;
-}
-
 namespace {
 
 bool cheaper(const CollectiveCosts& a, const CollectiveCosts& b) {
@@ -156,245 +98,6 @@ CollectiveAlgo CollectiveCostModel::pick_reduce(
   fused.bytes += plan.bytes;
   return cheaper(fused, p2p) ? CollectiveAlgo::kTreeReduce
                              : CollectiveAlgo::kPointToPoint;
-}
-
-CollectiveAlgo CollectiveCostModel::pick_all_reduce(
-    std::size_t peers, std::uint64_t bytes_per_peer) const {
-  const CollectiveCosts ring =
-      all_reduce(CollectiveAlgo::kRingAllReduce, peers, bytes_per_peer);
-  const CollectiveCosts tree =
-      all_reduce(CollectiveAlgo::kTreeAllReduce, peers, bytes_per_peer);
-  return cheaper(tree, ring) ? CollectiveAlgo::kTreeAllReduce
-                             : CollectiveAlgo::kRingAllReduce;
-}
-
-// ---- data-motion primitives -------------------------------------------------
-
-namespace {
-
-/// Relays one fused frame src -> parent -> dst, store-and-forward: the
-/// parent re-posts the copy it actually received. Either hop may be dropped
-/// by a faulty bus; the hop is then re-posted, up to `max_retries` extra
-/// attempts per hop.
-void relay_frame(Bus& bus, std::span<NodeRuntime> nodes, NodeId src,
-                 NodeId parent, NodeId dst, std::uint8_t phase,
-                 std::vector<AccumHV> sections, std::size_t max_retries) {
-  auto hop = [&](NodeId from, NodeId to, NodeId origin,
-                 std::vector<AccumHV>&& body) -> std::vector<AccumHV> {
-    NodeRuntime& rt = nodes[to];
-    for (std::size_t attempt = 0; attempt <= max_retries; ++attempt) {
-      const std::size_t before = rt.collective_frames_pending();
-      bus.post(Envelope{
-          kProtoVersion, from, to,
-          ReducePartial{phase, static_cast<std::uint32_t>(origin), body}});
-      if (rt.collective_frames_pending() > before) {
-        auto frames = rt.take_collective_frames();
-        return std::move(frames.back().sections);
-      }
-    }
-    throw std::runtime_error("collective: frame " + std::to_string(from) +
-                             " -> " + std::to_string(to) +
-                             " lost after retries");
-  };
-  std::vector<AccumHV> at_parent =
-      hop(src, parent, src, std::move(sections));
-  if (dst == parent) return;  // degenerate relay (unused today)
-  hop(parent, dst, src, std::move(at_parent));
-}
-
-struct FlatState {
-  std::vector<std::int32_t> lanes;
-  std::vector<std::size_t> offsets;  ///< per-section start, plus total
-};
-
-FlatState flatten(const std::vector<AccumHV>& sections) {
-  FlatState flat;
-  flat.offsets.push_back(0);
-  for (const auto& s : sections) {
-    flat.lanes.insert(flat.lanes.end(), s.begin(), s.end());
-    flat.offsets.push_back(flat.lanes.size());
-  }
-  return flat;
-}
-
-void unflatten(const FlatState& flat, std::vector<AccumHV>& sections) {
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    std::copy(flat.lanes.begin() + static_cast<std::ptrdiff_t>(flat.offsets[i]),
-              flat.lanes.begin() +
-                  static_cast<std::ptrdiff_t>(flat.offsets[i + 1]),
-              sections[i].begin());
-  }
-}
-
-void validate_peers(const net::Topology& topology, NodeId parent,
-                    std::span<const NodeId> peers,
-                    const std::vector<std::vector<AccumHV>>& states) {
-  if (peers.size() != states.size()) {
-    throw std::invalid_argument("collective: one state set per peer required");
-  }
-  const auto kids = topology.children(parent);
-  std::size_t lanes0 = 0;
-  for (std::size_t i = 0; i < peers.size(); ++i) {
-    if (std::find(kids.begin(), kids.end(), peers[i]) == kids.end()) {
-      throw std::invalid_argument("collective: peer " +
-                                  std::to_string(peers[i]) +
-                                  " is not a child of the relay parent");
-    }
-    std::size_t lanes = 0;
-    for (const auto& s : states[i]) lanes += s.size();
-    if (i == 0) {
-      lanes0 = lanes;
-    } else if (lanes != lanes0) {
-      throw std::invalid_argument(
-          "collective: peers hold mismatched lane counts");
-    }
-  }
-}
-
-}  // namespace
-
-void ring_all_reduce(Bus& bus, std::span<NodeRuntime> nodes,
-                     const net::Topology& topology, NodeId parent,
-                     std::span<const NodeId> peers,
-                     std::vector<std::vector<AccumHV>>& states,
-                     std::uint32_t chunk_lanes, std::size_t max_retries) {
-  validate_peers(topology, parent, peers, states);
-  const std::size_t p = peers.size();
-  if (p < 2) return;
-  std::vector<FlatState> flats;
-  flats.reserve(p);
-  for (const auto& s : states) flats.push_back(flatten(s));
-  const std::size_t total = flats[0].lanes.size();
-  std::size_t lc = chunk_lanes == 0 ? (total + p - 1) / p : chunk_lanes;
-  if (lc * p < total) {
-    throw std::invalid_argument(
-        "collective: chunk_lanes too small to cover the lane space in P "
-        "chunks");
-  }
-  const auto chunk_range = [&](std::size_t c) {
-    const std::size_t begin = std::min(c * lc, total);
-    return std::pair<std::size_t, std::size_t>{begin,
-                                               std::min(begin + lc, total)};
-  };
-  const auto chunk_of = [&](const FlatState& flat, std::size_t c) {
-    const auto [begin, end] = chunk_range(c);
-    return AccumHV(flat.lanes.begin() + static_cast<std::ptrdiff_t>(begin),
-                   flat.lanes.begin() + static_cast<std::ptrdiff_t>(end));
-  };
-
-  // Reduce-scatter: after step s, peer (i+1) holds chunk (i - s .. ) sums;
-  // after P-1 steps peer i fully owns chunk (i + 1) mod P.
-  for (std::size_t s = 0; s + 1 < p; ++s) {
-    for (std::size_t i = 0; i < p; ++i) {
-      const std::size_t c = (i + p - s % p) % p;
-      const std::size_t j = (i + 1) % p;
-      relay_frame(bus, nodes, peers[i], parent, peers[j], kReduceGatewaySync,
-                  {chunk_of(flats[i], c)}, max_retries);
-      // The receiver's combine is lane-ordered elementwise addition.
-      const auto [begin, end] = chunk_range(c);
-      // relay_frame drained the receiver's inbox; re-derive the payload from
-      // the sender's committed state (bit-identical on a lossless hop, and
-      // the relay would have thrown on a lost one).
-      for (std::size_t lane = begin; lane < end; ++lane) {
-        flats[j].lanes[lane] += flats[i].lanes[lane];
-      }
-    }
-  }
-  // All-gather: each peer circulates its owned, fully reduced chunk.
-  for (std::size_t s = 0; s + 1 < p; ++s) {
-    for (std::size_t i = 0; i < p; ++i) {
-      const std::size_t c = (i + 1 + p - s % p) % p;
-      const std::size_t j = (i + 1) % p;
-      relay_frame(bus, nodes, peers[i], parent, peers[j], kReduceGatewaySync,
-                  {chunk_of(flats[i], c)}, max_retries);
-      const auto [begin, end] = chunk_range(c);
-      for (std::size_t lane = begin; lane < end; ++lane) {
-        flats[j].lanes[lane] = flats[i].lanes[lane];
-      }
-    }
-  }
-  for (std::size_t i = 0; i < p; ++i) unflatten(flats[i], states[i]);
-}
-
-void tree_all_reduce(Bus& bus, std::span<NodeRuntime> nodes,
-                     const net::Topology& topology, NodeId parent,
-                     std::span<const NodeId> peers,
-                     std::vector<std::vector<AccumHV>>& states,
-                     std::size_t max_retries) {
-  validate_peers(topology, parent, peers, states);
-  const std::size_t p = peers.size();
-  if (p < 2) return;
-  std::vector<FlatState> flats;
-  flats.reserve(p);
-  for (const auto& s : states) flats.push_back(flatten(s));
-  const std::size_t total = flats[0].lanes.size();
-  const auto whole = [&](const FlatState& flat) {
-    return AccumHV(flat.lanes.begin(),
-                   flat.lanes.begin() + static_cast<std::ptrdiff_t>(total));
-  };
-  // Binomial reduce onto peers[0]: in round d, peer i with i % 2d == d sends
-  // its running sum to peer i - d.
-  for (std::size_t d = 1; d < p; d *= 2) {
-    for (std::size_t i = d; i < p; i += 2 * d) {
-      relay_frame(bus, nodes, peers[i], parent, peers[i - d],
-                  kReduceGatewaySync, {whole(flats[i])}, max_retries);
-      for (std::size_t lane = 0; lane < total; ++lane) {
-        flats[i - d].lanes[lane] += flats[i].lanes[lane];
-      }
-    }
-  }
-  // Mirror broadcast of the sum back down the binomial tree.
-  std::size_t top = std::size_t{1} << (std::bit_width(p - 1));
-  for (std::size_t d = top / 2; d >= 1; d /= 2) {
-    for (std::size_t i = 0; i + d < p; i += 2 * d) {
-      relay_frame(bus, nodes, peers[i], parent, peers[i + d],
-                  kReduceBroadcast, {whole(flats[i])}, max_retries);
-      flats[i + d].lanes.assign(flats[i].lanes.begin(),
-                                flats[i].lanes.end());
-    }
-    if (d == 1) break;
-  }
-  for (std::size_t i = 0; i < p; ++i) unflatten(flats[i], states[i]);
-}
-
-std::vector<std::vector<AccumHV>> broadcast_models(
-    Bus& bus, std::span<NodeRuntime> nodes, const net::Topology& topology,
-    NodeId root, const std::vector<AccumHV>& models, std::size_t max_retries) {
-  std::vector<std::vector<AccumHV>> received(topology.num_nodes());
-  received[root] = models;
-  // Preorder, children in topology order: each node forwards the copy it
-  // received, so a corruption anywhere would propagate — and the bit-exact
-  // check in the tests covers every hop.
-  std::vector<NodeId> stack{root};
-  while (!stack.empty()) {
-    const NodeId node = stack.back();
-    stack.pop_back();
-    const auto kids = topology.children(node);
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      const NodeId kid = *it;
-      NodeRuntime& rt = nodes[kid];
-      bool delivered = false;
-      for (std::size_t attempt = 0; attempt <= max_retries; ++attempt) {
-        const std::size_t before = rt.collective_frames_pending();
-        bus.post(Envelope{kProtoVersion, node, kid,
-                          ReducePartial{kReduceBroadcast,
-                                        static_cast<std::uint32_t>(node),
-                                        received[node]}});
-        if (rt.collective_frames_pending() > before) {
-          auto frames = rt.take_collective_frames();
-          received[kid] = std::move(frames.back().sections);
-          delivered = true;
-          break;
-        }
-      }
-      if (!delivered) {
-        throw std::runtime_error("collective: broadcast to node " +
-                                 std::to_string(kid) + " lost after retries");
-      }
-      stack.push_back(kid);
-    }
-  }
-  return received;
 }
 
 }  // namespace edgehd::proto

@@ -1,45 +1,31 @@
-// Collective model-exchange engine (ROADMAP "collective engine" arc).
+// Collective model exchange for the training sessions.
 //
 // The paper's hierarchy moves every model child -> parent as individual
-// per-(class, batch) frames. This module adds *collective schedules* over
-// the same Bus and the same inboxes:
-//
-//   * subtree reduce   — each child fuses its entire per-phase contribution
-//                        into one ReducePartial frame whose sections are
-//                        entropy-coded as a unit (section_codec.hpp), with a
-//                        deterministic lane-ordered combine at the parent;
-//   * broadcast        — an updated model set pushed down a subtree,
-//                        store-and-forward, bit-faithful at every hop;
-//   * ring all-reduce  — sibling gateways exchange reduce-scatter /
-//                        all-gather chunks, relayed through their parent;
-//   * tree all-reduce  — the binomial-tree variant (fewer rounds, whole
-//                        payloads) for small payloads or shared media.
+// per-(class, batch) frames. The one collective schedule here is the
+// *fused subtree reduce*: each child fuses its entire per-phase
+// contribution into one ReducePartial frame whose sections are
+// entropy-coded as a unit (section_codec.hpp), and the parent scatters the
+// sections into the same inboxes the per-message path fills.
 //
 // A CollectiveCostModel (in the spirit of FlagCX's FlagCXAlgoTimeEstimator)
-// prices each algorithm per phase from the link medium's latency, bandwidth
+// prices both schedules per phase from the link medium's latency, bandwidth
 // and power terms plus the topology's fan-out, and the session picks the
-// argmin — unless CollectiveConfig::force pins one. Every collective frame
-// is a first-class protocol message: it rides the versioned envelope codec
-// and is charged to CommStats and the per-type proto.* counters like any
-// other traffic.
+// argmin — unless CollectiveConfig::force pins one. Every fused frame and
+// plan announcement is a first-class protocol message: it rides the
+// versioned envelope codec and is charged to CommStats and the per-type
+// proto.* counters like any other traffic.
 //
-// Correctness contract: collective schedules are *lossless rearrangements*.
-// The reduce path scatters sections into the same inboxes the point-to-point
-// path fills, and the all-reduce combine is elementwise int32 addition —
-// associative and commutative exactly — so final models are bit-identical
-// to the reference schedule (pinned by tests/test_collective.cpp).
+// Correctness contract: the fused reduce is a *lossless rearrangement* of
+// the point-to-point schedule — same accumulators, same inboxes, same
+// downstream aggregation — so final models are bit-identical to the
+// reference schedule (pinned by tests/test_collective.cpp).
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <span>
-#include <vector>
 
-#include "bus.hpp"
-#include "hdc/hypervector.hpp"
 #include "net/medium.hpp"
 #include "net/topology.hpp"
-#include "node_runtime.hpp"
 
 namespace edgehd::proto {
 
@@ -47,8 +33,6 @@ namespace edgehd::proto {
 enum class CollectiveAlgo : std::uint8_t {
   kPointToPoint = 0,  ///< legacy per-(class, batch) frames
   kTreeReduce = 1,    ///< fused entropy-coded subtree reduce
-  kRingAllReduce = 2,
-  kTreeAllReduce = 3,
 };
 
 const char* to_string(CollectiveAlgo algo) noexcept;
@@ -57,10 +41,7 @@ const char* to_string(CollectiveAlgo algo) noexcept;
 /// legacy byte flows — including the golden e2e pins — are untouched.
 struct CollectiveConfig {
   bool enabled = false;
-  /// Pins the algorithm instead of asking the cost model. For the training
-  /// sessions any value other than kPointToPoint selects the fused subtree
-  /// reduce (ring/tree all-reduce are sibling-gateway primitives, not
-  /// child->parent reductions).
+  /// Pins the algorithm instead of asking the cost model.
   std::optional<CollectiveAlgo> force;
   /// Link technology the cost model prices schedules against.
   net::MediumKind medium = net::MediumKind::kWifi80211n;
@@ -95,13 +76,6 @@ class CollectiveCostModel {
   /// the reduce, downward).
   CollectiveCosts broadcast_from_root(std::uint64_t bytes_per_edge) const;
 
-  /// All-reduce among `peers` sibling gateways, each holding
-  /// `bytes_per_peer` of state; every logical transfer is relayed through
-  /// the shared parent (two physical hops). Only kRingAllReduce /
-  /// kTreeAllReduce are valid here.
-  CollectiveCosts all_reduce(CollectiveAlgo algo, std::size_t peers,
-                             std::uint64_t bytes_per_peer) const;
-
   /// Argmin schedule for a training phase: the legacy per-message flow
   /// (frames_per_edge frames, p2p bytes) vs one fused frame per edge plus
   /// the CollectivePlan announcement. Ties break toward the lower enum
@@ -109,10 +83,6 @@ class CollectiveCostModel {
   CollectiveAlgo pick_reduce(std::uint64_t frames_per_edge,
                              std::uint64_t p2p_bytes_per_edge,
                              std::uint64_t fused_bytes_per_edge) const;
-
-  /// Argmin of ring vs tree all-reduce (time, then energy, then enum order).
-  CollectiveAlgo pick_all_reduce(std::size_t peers,
-                                 std::uint64_t bytes_per_peer) const;
 
   const net::Medium& medium() const noexcept { return medium_; }
 
@@ -125,44 +95,5 @@ class CollectiveCostModel {
   const net::Topology* topology_;
   net::Medium medium_;
 };
-
-// ---- data-motion primitives -------------------------------------------------
-//
-// The primitives run over a synchronous Bus (LocalBus): a post delivers
-// before it returns, so a hop's arrival is checked by polling the receiving
-// runtime's collective inbox — which is also the retry loop: a bus that
-// drops a frame (fault injection) simply leaves the inbox empty and the
-// primitive re-posts, up to `max_retries` extra attempts, then throws
-// std::runtime_error.
-
-/// Ring all-reduce among `peers` (children of `parent`): states[i] is peer
-/// i's accumulator set; on return every entry holds the elementwise sum
-/// across peers. Payloads move as reduce-scatter then all-gather chunks of
-/// the concatenated lane space (`chunk_lanes` lanes per chunk, 0 = even
-/// split), each transfer relayed peer -> parent -> peer. Throws
-/// std::invalid_argument on non-sibling peers or mismatched lane counts.
-void ring_all_reduce(Bus& bus, std::span<NodeRuntime> nodes,
-                     const net::Topology& topology, net::NodeId parent,
-                     std::span<const net::NodeId> peers,
-                     std::vector<std::vector<hdc::AccumHV>>& states,
-                     std::uint32_t chunk_lanes = 0,
-                     std::size_t max_retries = 0);
-
-/// Binomial-tree all-reduce: reduce onto peers[0] in ceil(log2 P) rounds,
-/// then mirror-broadcast the sum back. Same contract as ring_all_reduce.
-void tree_all_reduce(Bus& bus, std::span<NodeRuntime> nodes,
-                     const net::Topology& topology, net::NodeId parent,
-                     std::span<const net::NodeId> peers,
-                     std::vector<std::vector<hdc::AccumHV>>& states,
-                     std::size_t max_retries = 0);
-
-/// Broadcasts `models` from `root` down its subtree, store-and-forward (each
-/// node forwards the copy it received, not the original). Returns the model
-/// set as received per node (indexed by NodeId; empty outside the subtree) —
-/// bit-identical to `models` everywhere on a lossless bus.
-std::vector<std::vector<hdc::AccumHV>> broadcast_models(
-    Bus& bus, std::span<NodeRuntime> nodes, const net::Topology& topology,
-    net::NodeId root, const std::vector<hdc::AccumHV>& models,
-    std::size_t max_retries = 0);
 
 }  // namespace edgehd::proto

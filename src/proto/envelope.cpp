@@ -266,6 +266,8 @@ bool read_payload(ByteReader& r, MsgType type, Message& out) {
       ReducePartial m;
       std::uint32_t count = 0;
       if (!r.u8(m.phase) || !r.u32(m.origin) || !r.u32(count)) return false;
+      // Only the two training phases exist; any other phase byte is corrupt.
+      if (m.phase > kReduceBatch) return false;
       if (count > kMaxWireDim) return false;
       // Dims are framing; their sum is capped like a single accumulator's
       // dim so a corrupt count can never drive a huge allocation.

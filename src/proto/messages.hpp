@@ -159,20 +159,16 @@ struct StateSync {
 
 // ---- collective schedule messages -----------------------------------------
 
-/// ReducePartial::phase values: which session (or primitive) a fused frame
-/// belongs to. Phases 0/1 scatter into the receiver's training inboxes;
-/// phases 2/3 land in the phase-independent collective inbox.
-inline constexpr std::uint8_t kReduceInitial = 0;   ///< initial training
-inline constexpr std::uint8_t kReduceBatch = 1;     ///< batch retraining
-inline constexpr std::uint8_t kReduceGatewaySync = 2;  ///< all-reduce chunk
-inline constexpr std::uint8_t kReduceBroadcast = 3;    ///< model broadcast
+/// ReducePartial::phase values: which training session a fused frame belongs
+/// to. Both scatter into the receiver's training inboxes; decode rejects any
+/// other phase byte.
+inline constexpr std::uint8_t kReduceInitial = 0;  ///< initial training
+inline constexpr std::uint8_t kReduceBatch = 1;    ///< batch retraining
 
 /// A node's entire per-phase contribution — every class accumulator (initial
-/// training), every per-class batch accumulator (retraining), or an
-/// all-reduce chunk / broadcast model set — fused into one frame whose
-/// sections are entropy-coded as a unit by the section codec. `origin` is
-/// the original contributor; a relay hop keeps it while the envelope src
-/// tracks the physical sender.
+/// training) or every per-class batch accumulator (retraining) — fused into
+/// one frame whose sections are entropy-coded as a unit by the section
+/// codec. `origin` is the contributor (the envelope src on a direct hop).
 struct ReducePartial {
   std::uint8_t phase = kReduceInitial;
   std::uint32_t origin = 0;
@@ -183,8 +179,8 @@ struct ReducePartial {
 
 /// The cost model's verdict for one phase, announced down the tree before a
 /// collective phase runs so every participant applies the same schedule.
-/// `algorithm` is a collective::CollectiveAlgo value; `chunk_lanes` is the
-/// ring chunk override (0 = even split); `plan_id` ties the announcement to
+/// `algorithm` is a CollectiveAlgo value; `chunk_lanes` is a reserved wire
+/// field the sessions always send as 0; `plan_id` ties the announcement to
 /// the phase that follows it.
 struct CollectivePlan {
   std::uint8_t phase = kReduceInitial;

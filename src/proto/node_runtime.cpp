@@ -193,12 +193,6 @@ void NodeRuntime::on_envelope(const Envelope& env) {
                 slot[c][b] = m.sections[s++];
               }
             }
-          } else if (m.phase == kReduceGatewaySync ||
-                     m.phase == kReduceBroadcast) {
-            // Chunk relays / model broadcasts are phase-independent data
-            // motion; the collective primitive driving them drains this.
-            collective_frames_.push_back(
-                {static_cast<net::NodeId>(m.origin), m.sections});
           } else {
             throw std::logic_error(
                 "NodeRuntime: ReducePartial with unknown collective phase");
@@ -248,11 +242,6 @@ void NodeRuntime::on_envelope(const Envelope& env) {
         }
       },
       env.msg);
-}
-
-std::vector<NodeRuntime::CollectiveFrame>
-NodeRuntime::take_collective_frames() {
-  return std::exchange(collective_frames_, {});
 }
 
 std::vector<AccumHV> NodeRuntime::checkpoint_state() const {

@@ -114,21 +114,6 @@ class NodeRuntime {
 
   // ---- collective traffic --------------------------------------------------
 
-  /// One fused frame delivered outside the training phases (all-reduce chunk
-  /// relays and model broadcasts — ReducePartial phases 2/3).
-  struct CollectiveFrame {
-    net::NodeId origin = net::kNoNode;
-    std::vector<hdc::AccumHV> sections;
-  };
-
-  /// Drains the collective inbox (delivery order preserved). The collective
-  /// primitives in collective.cpp poll this between hops, which is also how
-  /// they detect a lost frame and retry.
-  std::vector<CollectiveFrame> take_collective_frames();
-  std::size_t collective_frames_pending() const noexcept {
-    return collective_frames_.size();
-  }
-
   /// Cost-model announcements heard (and the latest one): sessions broadcast
   /// a CollectivePlan down the tree before running a collective phase.
   std::uint64_t plans_received() const noexcept { return plans_received_; }
@@ -265,7 +250,6 @@ class NodeRuntime {
   std::uint64_t queries_received_ = 0;
   std::uint64_t joins_received_ = 0;
   std::uint64_t leaves_received_ = 0;
-  std::vector<CollectiveFrame> collective_frames_;
   CollectivePlan last_plan_{};
   std::uint64_t plans_received_ = 0;
   /// Highest incarnation announced per node (indexed by NodeId); a

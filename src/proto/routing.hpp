@@ -46,7 +46,7 @@ struct RoutingContext {
   double confidence_threshold = 0.75;
   std::size_t compression = 1;  ///< m, query hypervectors per bundle
   bool serve_degraded = true;   ///< FailoverPolicy::serve_degraded
-  std::size_t max_retries = 5;  ///< FailoverPolicy::max_retries
+  std::size_t max_retries = 5;  ///< ReliableConfig::max_retries
   /// "core.routed.escalations" handle; incremented once per escalation hop.
   const obs::Counter* escalations = nullptr;
 

@@ -102,31 +102,24 @@ void post_class_set(const SessionContext& ctx, NodeId src,
 }
 
 /// Resolves the data-motion schedule for a training phase shipping
-/// `frames_per_edge` frames per live edge. The training sessions know two
-/// flows — per-message and fused subtree reduce — so a force to one of the
-/// sibling all-reduce algorithms still selects the fused reduce here.
+/// `frames_per_edge` frames per live edge: per-message or fused subtree
+/// reduce.
 CollectiveAlgo resolve_algo(const SessionContext& ctx,
                             std::uint64_t frames_per_edge) {
   if (ctx.collective == nullptr || !ctx.collective->enabled) {
     return CollectiveAlgo::kPointToPoint;
   }
-  CollectiveAlgo algo;
-  if (ctx.collective->force) {
-    algo = *ctx.collective->force;
-  } else {
-    const CollectiveCostModel model(*ctx.topology,
-                                    net::medium(ctx.collective->medium));
-    // Representative per-edge payload (~4 bits per lane of one node's
-    // contribution). Both schedules serialize the same accumulators, so the
-    // argmin is driven by the per-frame latency term against the fused
-    // schedule's plan-broadcast overhead.
-    const std::size_t dim = ctx.nodes.empty() ? 0 : ctx.nodes[0].dim();
-    const std::uint64_t bytes =
-        frames_per_edge * ((static_cast<std::uint64_t>(dim) + 1) / 2);
-    algo = model.pick_reduce(frames_per_edge, bytes, bytes);
-  }
-  return algo == CollectiveAlgo::kPointToPoint ? algo
-                                               : CollectiveAlgo::kTreeReduce;
+  if (ctx.collective->force) return *ctx.collective->force;
+  const CollectiveCostModel model(*ctx.topology,
+                                  net::medium(ctx.collective->medium));
+  // Representative per-edge payload (~4 bits per lane of one node's
+  // contribution). Both schedules serialize the same accumulators, so the
+  // argmin is driven by the per-frame latency term against the fused
+  // schedule's plan-broadcast overhead.
+  const std::size_t dim = ctx.nodes.empty() ? 0 : ctx.nodes[0].dim();
+  const std::uint64_t bytes =
+      frames_per_edge * ((static_cast<std::uint64_t>(dim) + 1) / 2);
+  return model.pick_reduce(frames_per_edge, bytes, bytes);
 }
 
 /// Announces the phase's schedule down every delivering link (top-down, so

@@ -1,6 +1,10 @@
 // Unit tests for the class-hypervector classifier (src/hdc/classifier.*).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "hdc/classifier.hpp"
 #include "hdc/encoder.hpp"
 #include "hdc/random.hpp"
@@ -60,6 +64,107 @@ TEST(Classifier, RetrainReducesTrainingErrors) {
     after = clf.retrain_epoch(data.hvs, data.labels);
   }
   EXPECT_LE(after, before);
+}
+
+/// Reference perceptron for the differential test below: dense int32 class
+/// accumulators scored by int64 dot products and cosine, with no bit planes
+/// and no cache. Ties go to the lowest class index.
+struct NaivePerceptron {
+  std::size_t dim;
+  std::vector<AccumHV> classes;
+
+  NaivePerceptron(std::size_t k, std::size_t d)
+      : dim(d), classes(k, AccumHV(d, 0)) {}
+
+  std::size_t predict(const BipolarHV& q) const {
+    std::size_t best = 0;
+    double best_sim = 0.0;
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+      std::int64_t dot = 0;
+      std::int64_t squares = 0;
+      for (std::size_t i = 0; i < dim; ++i) {
+        dot += std::int64_t{q[i]} * classes[c][i];
+        squares += std::int64_t{classes[c][i]} * classes[c][i];
+      }
+      const double denom = std::sqrt(static_cast<double>(dim)) *
+                           std::sqrt(static_cast<double>(squares));
+      const double sim = denom == 0.0 ? 0.0 : static_cast<double>(dot) / denom;
+      if (c == 0 || sim > best_sim) {
+        best = c;
+        best_sim = sim;
+      }
+    }
+    return best;
+  }
+
+  /// One online pass: each mispredict moves the sample into its true class
+  /// and out of the predicted one before the next sample is scored.
+  std::size_t epoch(const std::vector<BipolarHV>& hvs,
+                    const std::vector<std::size_t>& labels) {
+    std::size_t errors = 0;
+    for (std::size_t s = 0; s < hvs.size(); ++s) {
+      const std::size_t guess = predict(hvs[s]);
+      if (guess == labels[s]) continue;
+      ++errors;
+      for (std::size_t i = 0; i < dim; ++i) {
+        classes[labels[s]][i] += hvs[s][i];
+        classes[guess][i] -= hvs[s][i];
+      }
+    }
+    return errors;
+  }
+};
+
+TEST(Classifier, RetrainMatchesNaiveReferencePerceptron) {
+  // Noisy overlapping clusters at a dim that is not a multiple of 64, so the
+  // packed planes carry a partial tail word. More samples than dimensions
+  // keeps the perceptron making mistakes for several epochs.
+  const std::size_t k = 4, dim = 333, per_class = 120;
+  for (const std::uint64_t seed : {7u, 8u, 9u, 10u}) {
+    Rng rng(seed);
+    std::vector<BipolarHV> prototypes;
+    for (std::size_t c = 0; c < k; ++c) prototypes.push_back(rng.sign_vector(dim));
+    std::vector<BipolarHV> hvs;
+    std::vector<std::size_t> labels;
+    for (std::size_t i = 0; i < k * per_class; ++i) {
+      auto hv = prototypes[i % k];
+      for (auto& v : hv) {
+        if (rng.bernoulli(0.47)) v = static_cast<std::int8_t>(-v);
+      }
+      hvs.push_back(std::move(hv));
+      labels.push_back(i % k);
+    }
+
+    HDClassifier clf(k, dim);
+    HDClassifier stepped(k, dim);
+    NaivePerceptron ref(k, dim);
+    for (std::size_t i = 0; i < hvs.size(); ++i) {
+      clf.add_sample(labels[i], hvs[i]);
+      stepped.add_sample(labels[i], hvs[i]);
+      for (std::size_t d = 0; d < dim; ++d) ref.classes[labels[i]][d] += hvs[i][d];
+    }
+
+    // Same epoch budget and early stop as HDClassifier::retrain.
+    std::vector<std::size_t> ref_errors;
+    std::vector<std::size_t> got_errors;
+    for (std::size_t e = 0; e < clf.config().retrain_epochs; ++e) {
+      ref_errors.push_back(ref.epoch(hvs, labels));
+      got_errors.push_back(stepped.retrain_epoch(hvs, labels));
+      if (ref_errors.back() == 0) break;
+    }
+    const std::size_t final_errors = clf.retrain(hvs, labels);
+
+    EXPECT_GT(ref_errors.front(), 0u) << "seed " << seed;
+    EXPECT_GT(ref_errors.size(), 2u) << "seed " << seed;
+    EXPECT_EQ(got_errors, ref_errors) << "seed " << seed;
+    EXPECT_EQ(final_errors, ref_errors.back()) << "seed " << seed;
+    for (std::size_t c = 0; c < k; ++c) {
+      EXPECT_EQ(clf.class_accumulator(c), ref.classes[c])
+          << "seed " << seed << " class " << c;
+      EXPECT_EQ(stepped.class_accumulator(c), ref.classes[c])
+          << "seed " << seed << " class " << c;
+    }
+  }
 }
 
 TEST(Classifier, PredictionReportsValidConfidence) {

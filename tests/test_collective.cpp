@@ -1,12 +1,11 @@
-// Differential suite for collective schedules (src/proto/collective.*).
+// Differential suite for the fused subtree reduce (src/proto/collective.*).
 //
-// The collective engine's contract is that every schedule is a *lossless
-// rearrangement* of the point-to-point reference: fused ReducePartial frames
-// scatter into the same inboxes, all-reduce combines are elementwise int32
-// addition, broadcast is store-and-forward of exact bytes. So the tests here
-// are differential: run the reference and the collective schedule on the
-// same seeded world and demand bit-identical models — across randomized
-// topologies, worker counts, and seeded fault plans with retries.
+// The fused schedule's contract is that it is a *lossless rearrangement* of
+// the point-to-point reference: ReducePartial frames scatter into the same
+// inboxes the per-message path fills. So the tests here are differential:
+// run the reference and the fused schedule on the same seeded world and
+// demand bit-identical models — across randomized topologies, worker
+// counts, and seeded fault plans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +18,6 @@
 #include "hdc/random.hpp"
 #include "net/fault.hpp"
 #include "net/topology.hpp"
-#include "proto/bus.hpp"
 #include "proto/collective.hpp"
 #include "proto/envelope.hpp"
 #include "proto/messages.hpp"
@@ -193,7 +191,7 @@ TEST(CollectiveDifferential, SeededFaultPlansPreserveBitIdentity) {
   }
 }
 
-// ---- primitive harness ------------------------------------------------------
+// ---- NodeRuntime scatter contract -------------------------------------------
 
 hdc::AccumHV random_accum(std::size_t dim, std::int32_t magnitude,
                           std::uint64_t seed) {
@@ -204,248 +202,6 @@ hdc::AccumHV random_accum(std::size_t dim, std::int32_t magnitude,
   }
   return acc;
 }
-
-/// Bare-metal world for the data-motion primitives: runtimes wired to a
-/// LocalBus that routes every envelope through the real codec.
-struct Harness {
-  net::Topology topo;
-  std::vector<proto::NodeRuntime> nodes;
-  proto::LocalBus bus;
-
-  Harness(net::Topology t, std::size_t dim, std::size_t num_classes)
-      : topo(std::move(t)), nodes(topo.num_nodes()), bus(topo.num_nodes()) {
-    for (NodeId id = 0; id < topo.num_nodes(); ++id) {
-      nodes[id].init(id, topo, dim, num_classes);
-      proto::NodeRuntime* rt = &nodes[id];
-      bus.subscribe(id,
-                    [rt](const Envelope& env) { rt->on_envelope(env); });
-    }
-  }
-};
-
-/// Peer states for an all-reduce among the root's children, plus the
-/// elementwise reference sum every peer must end up holding.
-struct AllReduceCase {
-  std::vector<std::vector<hdc::AccumHV>> states;
-  std::vector<hdc::AccumHV> expected;
-};
-
-AllReduceCase make_case(std::size_t peers, std::size_t sections,
-                        std::size_t dim, std::uint64_t seed) {
-  AllReduceCase c;
-  c.expected.assign(sections, hdc::AccumHV(dim, 0));
-  for (std::size_t p = 0; p < peers; ++p) {
-    std::vector<hdc::AccumHV> state;
-    for (std::size_t s = 0; s < sections; ++s) {
-      state.push_back(random_accum(dim, 1000, seed + 31 * p + s));
-      for (std::size_t lane = 0; lane < dim; ++lane) {
-        c.expected[s][lane] += state.back()[lane];
-      }
-    }
-    c.states.push_back(std::move(state));
-  }
-  return c;
-}
-
-TEST(CollectivePrimitives, RingAndTreeAllReduceMatchReferenceSums) {
-  for (const std::size_t peers : {1u, 2u, 3u, 5u, 8u}) {
-    Harness h(net::Topology::star(peers), 17, 2);
-    const auto kids = h.topo.children(h.topo.root());
-    const std::vector<NodeId> peer_ids(kids.begin(), kids.end());
-    // Odd section dim (17) x 2 sections: chunk boundaries land mid-section.
-    // Sweep the even split, an oversized odd chunk, and one whole-payload
-    // chunk per transfer.
-    const auto min_chunk = static_cast<std::uint32_t>((34 + peers - 1) / peers);
-    for (const std::uint32_t chunk : {0u, min_chunk + 3, 34u}) {
-      auto c = make_case(peers, 2, 17, 400 + peers);
-      proto::ring_all_reduce(h.bus, h.nodes, h.topo, h.topo.root(), peer_ids,
-                             c.states, chunk);
-      for (std::size_t p = 0; p < peers; ++p) {
-        ASSERT_EQ(c.states[p],
-                  peers == 1 ? c.states[p] : c.expected)
-            << "ring peers=" << peers << " chunk=" << chunk << " peer " << p;
-      }
-    }
-    auto c = make_case(peers, 2, 17, 500 + peers);
-    proto::tree_all_reduce(h.bus, h.nodes, h.topo, h.topo.root(), peer_ids,
-                           c.states);
-    for (std::size_t p = 0; p < peers; ++p) {
-      ASSERT_EQ(c.states[p], peers == 1 ? c.states[p] : c.expected)
-          << "tree peers=" << peers << " peer " << p;
-    }
-  }
-}
-
-TEST(CollectivePrimitives, AllReduceValidatesPeersAndLaneCounts) {
-  Harness h(net::Topology::paper_tree(4), 8, 2);
-  const auto& topo = h.topo;
-  const NodeId gw = topo.parent(topo.leaves().front());
-  const auto kids = topo.children(gw);
-  std::vector<NodeId> peer_ids(kids.begin(), kids.end());
-
-  // One state set per peer, or nothing runs.
-  std::vector<std::vector<hdc::AccumHV>> short_states(peer_ids.size() - 1);
-  EXPECT_THROW(proto::ring_all_reduce(h.bus, h.nodes, topo, gw, peer_ids,
-                                      short_states),
-               std::invalid_argument);
-  // Mismatched lane counts across peers.
-  auto c = make_case(peer_ids.size(), 2, 8, 600);
-  c.states.back()[0].push_back(0);
-  EXPECT_THROW(
-      proto::ring_all_reduce(h.bus, h.nodes, topo, gw, peer_ids, c.states),
-      std::invalid_argument);
-  EXPECT_THROW(
-      proto::tree_all_reduce(h.bus, h.nodes, topo, gw, peer_ids, c.states),
-      std::invalid_argument);
-  // A peer that is not a child of the relay parent.
-  auto ok = make_case(peer_ids.size(), 2, 8, 601);
-  auto strangers = peer_ids;
-  strangers.back() = topo.root();
-  EXPECT_THROW(
-      proto::ring_all_reduce(h.bus, h.nodes, topo, gw, strangers, ok.states),
-      std::invalid_argument);
-  // Chunks too small to cover the lane space in P chunks.
-  EXPECT_THROW(proto::ring_all_reduce(h.bus, h.nodes, topo, gw, peer_ids,
-                                      ok.states, /*chunk_lanes=*/1),
-               std::invalid_argument);
-}
-
-TEST(CollectivePrimitives, BroadcastIsBitExactAtEveryNode) {
-  Harness h(net::Topology::paper_tree(4), 12, 3);
-  std::vector<hdc::AccumHV> models;
-  for (std::size_t c = 0; c < 3; ++c) {
-    models.push_back(random_accum(12, 40000, 700 + c));
-  }
-  const auto received = proto::broadcast_models(h.bus, h.nodes, h.topo,
-                                                h.topo.root(), models);
-  ASSERT_EQ(received.size(), h.topo.num_nodes());
-  for (NodeId id = 0; id < h.topo.num_nodes(); ++id) {
-    EXPECT_EQ(received[id], models) << "node " << id;
-  }
-  // Subtree broadcast from a gateway touches only its descendants.
-  const NodeId gw = h.topo.parent(h.topo.leaves().front());
-  const auto sub = proto::broadcast_models(h.bus, h.nodes, h.topo, gw, models);
-  for (NodeId id = 0; id < h.topo.num_nodes(); ++id) {
-    const bool in_subtree =
-        id == gw || (!h.topo.children(gw).empty() && h.topo.parent(id) == gw);
-    if (in_subtree) {
-      EXPECT_EQ(sub[id], models) << "node " << id;
-    } else {
-      EXPECT_TRUE(sub[id].empty()) << "node " << id;
-    }
-  }
-}
-
-// ---- retries over a lossy bus ----------------------------------------------
-
-/// Deterministically faulty bus: drops a prefix of posts, or every other
-/// post, before handing the survivors to a real LocalBus.
-class LossyBus final : public proto::Bus {
- public:
-  enum class Policy { kDropFirstN, kDropEveryOther, kDropAll };
-
-  LossyBus(std::size_t num_nodes, Policy policy, std::size_t n = 0)
-      : inner_(num_nodes), policy_(policy), n_(n) {}
-
-  void subscribe(NodeId node, proto::Handler handler) override {
-    inner_.subscribe(node, std::move(handler));
-  }
-  void post(Envelope env) override {
-    const std::size_t at = posts_++;
-    switch (policy_) {
-      case Policy::kDropAll:
-        return;
-      case Policy::kDropFirstN:
-        if (at < n_) return;
-        break;
-      case Policy::kDropEveryOther:
-        if (at % 2 == 0) return;
-        break;
-    }
-    inner_.post(std::move(env));
-  }
-  void set_charge(proto::CommStats* sink) noexcept override {
-    inner_.set_charge(sink);
-  }
-  std::size_t posts() const noexcept { return posts_; }
-
- private:
-  proto::LocalBus inner_;
-  Policy policy_;
-  std::size_t n_;
-  std::size_t posts_ = 0;
-};
-
-struct LossyHarness {
-  net::Topology topo;
-  std::vector<proto::NodeRuntime> nodes;
-  LossyBus bus;
-
-  LossyHarness(net::Topology t, LossyBus::Policy policy, std::size_t n = 0)
-      : topo(std::move(t)),
-        nodes(topo.num_nodes()),
-        bus(topo.num_nodes(), policy, n) {
-    for (NodeId id = 0; id < topo.num_nodes(); ++id) {
-      nodes[id].init(id, topo, 9, 2);
-      proto::NodeRuntime* rt = &nodes[id];
-      bus.subscribe(id,
-                    [rt](const Envelope& env) { rt->on_envelope(env); });
-    }
-  }
-};
-
-TEST(CollectiveRetries, RetriesRecoverDroppedFramesBitExactly) {
-  // Every hop's first attempt is dropped; one retry per hop recovers the
-  // schedule and the result stays bit-identical to the reference sum.
-  LossyHarness h(net::Topology::star(3), LossyBus::Policy::kDropEveryOther);
-  const auto kids = h.topo.children(h.topo.root());
-  const std::vector<NodeId> peer_ids(kids.begin(), kids.end());
-  auto c = make_case(3, 2, 9, 800);
-  proto::ring_all_reduce(h.bus, h.nodes, h.topo, h.topo.root(), peer_ids,
-                         c.states, 0, /*max_retries=*/1);
-  for (std::size_t p = 0; p < 3; ++p) {
-    EXPECT_EQ(c.states[p], c.expected) << "peer " << p;
-  }
-  // Broadcast under a dropped prefix with generous retries.
-  LossyHarness b(net::Topology::paper_tree(4), LossyBus::Policy::kDropFirstN,
-                 3);
-  const std::vector<hdc::AccumHV> models{random_accum(9, 5, 801),
-                                         random_accum(9, 5, 802)};
-  const auto received = proto::broadcast_models(b.bus, b.nodes, b.topo,
-                                                b.topo.root(), models,
-                                                /*max_retries=*/5);
-  for (NodeId id = 0; id < b.topo.num_nodes(); ++id) {
-    EXPECT_EQ(received[id], models) << "node " << id;
-  }
-}
-
-TEST(CollectiveRetries, ExhaustedRetriesThrow) {
-  LossyHarness h(net::Topology::star(2), LossyBus::Policy::kDropAll);
-  const auto kids = h.topo.children(h.topo.root());
-  const std::vector<NodeId> peer_ids(kids.begin(), kids.end());
-  auto c = make_case(2, 1, 9, 810);
-  EXPECT_THROW(proto::ring_all_reduce(h.bus, h.nodes, h.topo, h.topo.root(),
-                                      peer_ids, c.states, 0,
-                                      /*max_retries=*/2),
-               std::runtime_error);
-  EXPECT_THROW(proto::broadcast_models(h.bus, h.nodes, h.topo, h.topo.root(),
-                                       {random_accum(9, 5, 811)},
-                                       /*max_retries=*/0),
-               std::runtime_error);
-  // Dropping only the first attempt still fails when retries are disallowed.
-  LossyHarness once(net::Topology::star(2), LossyBus::Policy::kDropFirstN, 1);
-  auto c2 = make_case(2, 1, 9, 812);
-  EXPECT_THROW(
-      proto::tree_all_reduce(once.bus, once.nodes, once.topo,
-                             once.topo.root(),
-                             std::vector<NodeId>(
-                                 once.topo.children(once.topo.root()).begin(),
-                                 once.topo.children(once.topo.root()).end()),
-                             c2.states, /*max_retries=*/0),
-      std::runtime_error);
-}
-
-// ---- NodeRuntime scatter contract -------------------------------------------
 
 TEST(CollectiveScatter, FusedFrameMatchesPerClassDelivery) {
   // A gateway fed one fused initial-training frame must close its phase with
@@ -500,27 +256,16 @@ TEST(CollectiveScatter, MalformedFusedFramesAreProtocolViolations) {
                                            static_cast<std::uint32_t>(child),
                                            {random_accum(8, 3, 922)}}}),
       std::logic_error);
-  // Unknown collective phase bytes fail closed.
-  EXPECT_THROW(
-      rt.on_envelope({proto::kProtoVersion, child, gw,
-                      proto::ReducePartial{
-                          9, static_cast<std::uint32_t>(child), two}}),
-      std::logic_error);
+  // Phase bytes other than initial/batch training fail closed.
+  for (const std::uint8_t phase : {2, 3, 9}) {
+    EXPECT_THROW(
+        rt.on_envelope({proto::kProtoVersion, child, gw,
+                        proto::ReducePartial{
+                            phase, static_cast<std::uint32_t>(child), two}}),
+        std::logic_error)
+        << "phase " << int{phase};
+  }
   EXPECT_NO_THROW(rt.on_envelope(initial));
-
-  // All-reduce / broadcast frames are phase-free and land in the collective
-  // inbox, preserving delivery order and draining on take.
-  EXPECT_EQ(rt.collective_frames_pending(), 0u);
-  rt.on_envelope({proto::kProtoVersion, child, gw,
-                  proto::ReducePartial{proto::kReduceGatewaySync,
-                                       static_cast<std::uint32_t>(child),
-                                       two}});
-  EXPECT_EQ(rt.collective_frames_pending(), 1u);
-  const auto frames = rt.take_collective_frames();
-  ASSERT_EQ(frames.size(), 1u);
-  EXPECT_EQ(frames[0].origin, child);
-  EXPECT_EQ(frames[0].sections, two);
-  EXPECT_EQ(rt.collective_frames_pending(), 0u);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "net/medium.hpp"
 #include "net/simulator.hpp"
 #include "net/topology.hpp"
+#include "proto/messages.hpp"
 
 namespace {
 
@@ -506,6 +507,28 @@ TEST(EdgeHdFaults, LossyLinksChargeExpectedRetryBytes) {
   EXPECT_FALSE(r.degraded);
   EXPECT_GT(r.retry_bytes, 0u);
   EXPECT_LT(r.retry_bytes, r.bytes);  // one lossy hop out of the whole tree
+
+  // The charge uses the reliable transport's own retry cap: the hop costs
+  // b * (expected_attempts(p, R) - 1) with R = reliable.max_retries. A
+  // non-default cap moves the charge with it.
+  const auto hop_retry_bytes = [&](std::size_t max_retries) {
+    const auto b = proto::compressed_query_wire_size(sys.node_dim(leaf),
+                                                     cfg.compression);
+    return static_cast<std::uint64_t>(std::llround(
+        static_cast<double>(b) *
+        (net::expected_attempts(0.5, max_retries) - 1.0)));
+  };
+  EXPECT_EQ(r.retry_bytes, hop_retry_bytes(cfg.reliable.max_retries));
+  auto capped_cfg = cfg;
+  capped_cfg.reliable.max_retries = 1;
+  core::EdgeHdSystem capped(ds, net::Topology::paper_tree(4), capped_cfg);
+  capped.train();
+  capped.set_fault_plan(plan);
+  const auto rc = capped.infer_routed(ds.test_x[0], leaf);
+  ASSERT_TRUE(rc.served());
+  EXPECT_EQ(rc.bytes, r.bytes);
+  EXPECT_EQ(rc.retry_bytes, hop_retry_bytes(1));
+  EXPECT_LT(rc.retry_bytes, r.retry_bytes);
 }
 
 TEST(EdgeHdFaults, TrainingToleratesMissingChildAndReintegratesOnRecovery) {

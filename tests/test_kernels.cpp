@@ -413,7 +413,7 @@ TEST(ClassifierCache, SimilaritiesTrackEveryMutator) {
   }
   clf.train_batch(hvs, labels, pool);
   expect_sims_match_direct(clf, q);
-  clf.retrain(hvs, labels, pool);
+  clf.retrain(hvs, labels);
   expect_sims_match_direct(clf, q);
 }
 
@@ -486,7 +486,7 @@ E2eOutcome run_pipeline(std::size_t workers) {
   const auto test_hv = enc.encode_batch(test_x, pool);
   HDClassifier clf(k, d);
   clf.train_batch(train_hv, train_y, pool);
-  clf.retrain(train_hv, train_y, pool);
+  clf.retrain(train_hv, train_y);
 
   E2eOutcome out;
   for (const auto& pred : clf.predict_batch(test_hv, pool)) {

@@ -106,7 +106,7 @@ std::vector<Envelope> corpus() {
                      proto::kReduceBatch, 4,
                      {skewed_accum(203, 18), random_accum(33, 4, 19)}}});
   out.push_back({proto::kProtoVersion, 2, 5,
-                 proto::ReducePartial{proto::kReduceGatewaySync, 2,
+                 proto::ReducePartial{proto::kReduceBatch, 2,
                                       {random_accum(1, 1, 20)}}});
   out.push_back({proto::kProtoVersion, 1, 5,
                  proto::CollectivePlan{proto::kReduceBatch, 1, 16, 10}});
@@ -407,6 +407,14 @@ TEST(EnvelopeReject, ReducePartialBadSectionModeOrHugeDims) {
     buf[mode_at] = bad;
     EXPECT_EQ(proto::decode(buf).error, DecodeError::kCorruptPayload);
   }
+  // Phases other than initial (0) and batch (1) training are unassigned.
+  for (const std::uint8_t bad :
+       {std::uint8_t{2}, std::uint8_t{3}, std::uint8_t{255}}) {
+    auto buf = clean;
+    buf[proto::kHeaderSize] = bad;
+    EXPECT_EQ(proto::decode(buf).error, DecodeError::kCorruptPayload)
+        << "phase " << int{bad};
+  }
   // A corrupt section count far beyond kMaxWireDim must be rejected before
   // it can size an allocation.
   auto buf = clean;
@@ -516,7 +524,7 @@ TEST(EnvelopeSweep, RandomGarbageNeverCrashes) {
 // ---- buses -----------------------------------------------------------------
 
 TEST(LocalBus, DeliversThroughRealCodecAndChargesWireSize) {
-  proto::LocalBus bus(4, proto::LocalBus::Codec::kEncoded);
+  proto::LocalBus bus(4);
   std::vector<Envelope> seen;
   bus.subscribe(2, [&](const Envelope& env) { seen.push_back(env); });
 
@@ -568,6 +576,42 @@ TEST(SimulatorBus, DeliversOverTheEventSimulator) {
   // The simulator charged the framed bytes on the link (header + payload
   // prefixes), strictly more than the canonical accounting.
   EXPECT_GT(sim.total_bytes_transferred(), stats.bytes);
+}
+
+TEST(SimulatorBus, UnknownReducePhaseCountsAsDecodeRejection) {
+  // A frame the decoder fails closed on never reaches the receiver's
+  // handler, so a NodeRuntime subscriber cannot throw out of the simulator's
+  // payload callback; the frame is counted as a decode rejection instead.
+  const auto topo = net::Topology::paper_tree(4);
+  net::Simulator sim(topo, net::medium(net::MediumKind::kWired1G));
+  proto::SimulatorBus bus(sim);
+  const net::NodeId leaf = topo.leaves().front();
+  const net::NodeId parent = topo.parent(leaf);
+  proto::NodeRuntime rt;
+  rt.init(parent, topo, 8, 2);
+  rt.begin_initial_training();
+  bus.subscribe(parent, [&rt](const Envelope& env) { rt.on_envelope(env); });
+
+  const auto rejected = [] {
+    return obs::MetricsRegistry::global().counter_value(
+        "proto.decode.rejected");
+  };
+  const std::uint64_t rejected_before = rejected();
+  proto::CommStats stats;
+  bus.set_charge(&stats);
+  for (const std::uint8_t phase : {2, 3, 9}) {
+    bus.post({proto::kProtoVersion, leaf, parent,
+              proto::ReducePartial{phase, static_cast<std::uint32_t>(leaf),
+                                   {random_accum(8, 3, phase),
+                                    random_accum(8, 3, phase + 1u)}}});
+  }
+  EXPECT_NO_THROW(sim.run());
+  EXPECT_EQ(bus.decode_failures(), 3u);
+  EXPECT_EQ(bus.delivered(), 0u);
+  EXPECT_EQ(stats, proto::CommStats{});
+  if (obs::kEnabled) {
+    EXPECT_EQ(rejected() - rejected_before, 3u);
+  }
 }
 
 // ---- NodeRuntime state machine ---------------------------------------------

@@ -214,22 +214,6 @@ TEST(RuntimeDeterminism, TrainBatchMatchesSerialForAllWorkerCounts) {
   }
 }
 
-TEST(RuntimeDeterminism, ParallelRetrainIsBitIdenticalAcrossWorkerCounts) {
-  // Hard clusters so the perceptron pass has a non-trivial error set.
-  const Clusters data(4, 400, 50, 0.45, 33);
-  auto run_with = [&](std::size_t workers) {
-    ThreadPool pool(workers);
-    hdc::HDClassifier clf(4, 400);
-    clf.train_batch(data.hvs, data.labels, pool);
-    const std::size_t errors = clf.retrain(data.hvs, data.labels, pool);
-    return std::pair(errors, all_accumulators(clf));
-  };
-  const auto reference = run_with(1);
-  for (std::size_t workers : kWorkerSweep) {
-    EXPECT_EQ(run_with(workers), reference) << workers << " workers";
-  }
-}
-
 TEST(RuntimeDeterminism, PredictBatchMatchesSerialForAllWorkerCounts) {
   const Clusters train(3, 600, 40, 0.3, 5);
   const Clusters queries(3, 600, 25, 0.3, 6);
