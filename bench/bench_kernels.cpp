@@ -1,9 +1,10 @@
-// Kernel-layer throughput bench (the PR's acceptance bar): times the packed
-// popcount path against the int8/int32 scalar baseline it replaced, the
-// blocked GEMV/GEMM encoders against the naive row-major loop, and the
-// scalar vs SIMD backends against each other. Writes BENCH_kernels.json and
-// prints the >= 2x batch-predict check (packed popcount vs int8 scalar at
-// D = 4096, single-threaded).
+// Kernel-layer throughput bench: times the packed popcount path against the
+// int8/int32 scalar baseline it replaced, the blocked GEMV/GEMM encoders
+// against the naive row-major loop, the scalar vs SIMD backends against each
+// other, and the in-place bit-plane class update against a per-update
+// build_planes rebuild. Writes BENCH_kernels.json and prints the >= 2x
+// batch-predict check (packed popcount vs int8 scalar at D = 4096,
+// single-threaded).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -216,6 +217,47 @@ Result bench_simd_vs_scalar() {
   return r;
 }
 
+/// One perceptron class update at D = 4096: the accumulator step plus a
+/// build_planes rebuild (the retrain path before incremental planes) vs the
+/// same step plus an in-place kernels::add_query ripple. Each op is one
+/// signed update; +q / -q pairs keep the magnitudes from drifting.
+Result bench_class_update() {
+  Rng rng(6);
+  AccumHV acc(kDim, 0);
+  for (int i = 0; i < 64; ++i) bundle_into(acc, rng.sign_vector(kDim));
+  constexpr std::size_t kUpdates = 64;
+  std::vector<BipolarHV> qs(kUpdates);
+  std::vector<kernels::PackedQuery> packed(kUpdates);
+  for (std::size_t i = 0; i < kUpdates; ++i) {
+    qs[i] = rng.sign_vector(kDim);
+    packed[i] = kernels::pack_query(qs[i]);
+  }
+  const double t_rebuild = time_per_iter([&] {
+    std::int64_t s = 0;
+    for (const auto& q : qs) {
+      bundle_into(acc, q);
+      s += static_cast<std::int64_t>(kernels::build_planes(acc).nplanes);
+      unbundle_from(acc, q);
+      s += static_cast<std::int64_t>(kernels::build_planes(acc).nplanes);
+    }
+    g_sink_i64 = s;
+  });
+  kernels::PackedPlanes planes = kernels::build_planes(acc);
+  const double t_ripple = time_per_iter([&] {
+    for (std::size_t i = 0; i < kUpdates; ++i) {
+      bundle_into(acc, qs[i]);
+      kernels::add_query(planes, packed[i], 1);
+      unbundle_from(acc, qs[i]);
+      kernels::add_query(planes, packed[i], -1);
+    }
+    g_sink_i64 = static_cast<std::int64_t>(planes.nplanes);
+  });
+  Result r{"class_update_d4096", 2.0 * kUpdates / t_rebuild,
+           2.0 * kUpdates / t_ripple, 0.0};
+  r.speedup = r.packed_sps / r.baseline_sps;
+  return r;
+}
+
 }  // namespace
 
 int main() {
@@ -228,6 +270,7 @@ int main() {
   results.push_back(bench_gemm_encode_batch());
   results.push_back(bench_batch_predict());
   results.push_back(bench_simd_vs_scalar());  // leaves SIMD (or scalar) active
+  results.push_back(bench_class_update());
 
   for (const auto& r : results) {
     std::printf("  %-36s  baseline %12.0f /s   kernel %12.0f /s   speedup %5.2fx\n",

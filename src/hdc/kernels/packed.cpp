@@ -1,5 +1,6 @@
 #include "packed.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -29,14 +30,18 @@ BipolarHV unpack_hv(const PackedHV& p) {
 
 PackedQuery pack_query(std::span<const std::int8_t> hv) {
   PackedQuery q;
-  q.dim = hv.size();
-  const std::size_t words = packed_words(q.dim);
-  q.pos.assign(words, 0);
-  q.neg.assign(words, 0);
-  if (q.dim != 0) {
-    active().pack_signs(hv.data(), q.dim, q.pos.data(), q.neg.data());
-  }
+  pack_query(hv, q);
   return q;
+}
+
+void pack_query(std::span<const std::int8_t> hv, PackedQuery& out) {
+  out.dim = hv.size();
+  const std::size_t words = packed_words(out.dim);
+  out.pos.resize(words);
+  out.neg.resize(words);
+  if (out.dim != 0) {
+    active().pack_signs(hv.data(), out.dim, out.pos.data(), out.neg.data());
+  }
 }
 
 std::int64_t packed_dot(const PackedHV& a, const PackedHV& b) {
@@ -90,6 +95,56 @@ std::int64_t planes_dot(const PackedQuery& q, const PackedPlanes& p) {
   if (q.dim == 0) return 0;
   return active().planes_dot(q.pos.data(), q.neg.data(), p.planes.data(),
                              packed_words(q.dim), p.nplanes);
+}
+
+void add_query(PackedPlanes& p, const PackedQuery& q, int sign) {
+  if (q.dim != p.dim) {
+    throw std::invalid_argument("add_query: dimension mismatch");
+  }
+  if (p.nplanes == 0) {
+    throw std::invalid_argument("add_query: accumulator has no planes");
+  }
+  assert(sign == 1 || sign == -1);
+  if (p.dim == 0) return;
+  const std::size_t words = packed_words(p.dim);
+  const std::uint64_t* inc = sign > 0 ? q.pos.data() : q.neg.data();
+  const std::uint64_t* dec = sign > 0 ? q.neg.data() : q.pos.data();
+  if (!active().planes_add(p.planes.data(), words, p.nplanes, inc, dec)) {
+    return;
+  }
+  // Some lane wrapped: +1 from the maximum left it at the minimum (top
+  // plane set, every lower plane clear), -1 from the minimum at the maximum.
+  // Its true value needs one more plane, whose bit is the flipped top bit;
+  // every other lane gets its top bit replicated (sign extension).
+  const std::size_t n = p.nplanes;
+  p.planes.resize((n + 1) * words);
+  for (std::size_t i = 0; i < words; ++i) {
+    std::uint64_t low_any = 0;
+    std::uint64_t low_all = ~std::uint64_t{0};
+    for (std::size_t b = 0; b + 1 < n; ++b) {
+      low_any |= p.planes[b * words + i];
+      low_all &= p.planes[b * words + i];
+    }
+    const std::uint64_t top = p.planes[(n - 1) * words + i];
+    const std::uint64_t up = inc[i] & ~dec[i];
+    const std::uint64_t down = dec[i] & ~inc[i];
+    const std::uint64_t wrapped =
+        (up & top & ~low_any) | (down & ~top & low_all);
+    p.planes[n * words + i] = top ^ wrapped;
+  }
+  p.nplanes = n + 1;
+}
+
+void trim_planes(PackedPlanes& p) {
+  const std::size_t words = packed_words(p.dim);
+  while (p.nplanes > 2) {
+    const auto top = p.planes.begin() +
+                     static_cast<std::ptrdiff_t>((p.nplanes - 1) * words);
+    const auto below = top - static_cast<std::ptrdiff_t>(words);
+    if (!std::equal(top, top + static_cast<std::ptrdiff_t>(words), below)) break;
+    --p.nplanes;
+  }
+  p.planes.resize(p.nplanes * words);
 }
 
 bool update_plane_columns(PackedPlanes& p, std::span<const std::uint32_t> dims,

@@ -62,6 +62,10 @@ BipolarHV unpack_hv(const PackedHV& p);
 /// Packs a tri-state query into pos/neg sign masks.
 PackedQuery pack_query(std::span<const std::int8_t> hv);
 
+/// pack_query into caller-owned storage (reuses `out`'s mask capacity, so a
+/// loop packing one query at a time allocates nothing after the first).
+void pack_query(std::span<const std::int8_t> hv, PackedQuery& out);
+
 /// Dot product of two packed strictly-bipolar hypervectors:
 /// dim - 2 * popcount(a XOR b). Equals hdc::dot on the unpacked vectors.
 std::int64_t packed_dot(const PackedHV& a, const PackedHV& b);
@@ -76,6 +80,21 @@ PackedPlanes build_planes(std::span<const std::int32_t> acc);
 
 /// sum_i q_i * acc_i as exact int64 (the classifier's similarity numerator).
 std::int64_t planes_dot(const PackedQuery& q, const PackedPlanes& p);
+
+/// In-place perceptron update: adds sign * q (sign = +1 or -1) to the
+/// packed accumulator with one carry/borrow ripple per word
+/// (KernelTable::planes_add), O(nplanes * D / 64) word ops instead of a
+/// build_planes rebuild. When a lane outgrows the plane count, one
+/// sign-extended plane is appended. Planes never shrink here, so nplanes
+/// may exceed what the values need; planes_dot is exact at any plane count
+/// at or above the one needed (trim_planes drops the excess). Requires
+/// p.nplanes >= 1.
+void add_query(PackedPlanes& p, const PackedQuery& q, int sign);
+
+/// Drops top planes that only repeat the sign plane below them, down to
+/// build_planes' minimum of 2, so similarity scans touch no plane the
+/// values do not need. O(D / 64) word compares per plane inspected.
+void trim_planes(PackedPlanes& p);
 
 /// In-place column update: sets component dims[j] of the packed accumulator
 /// to vals[j] without rebuilding the planes (a DimensionPatch touches k << D

@@ -3,6 +3,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "hdc/classifier.hpp"
@@ -66,6 +68,23 @@ TEST(Classifier, RetrainReducesTrainingErrors) {
   EXPECT_LE(after, before);
 }
 
+/// Noisy clusters around `k` random prototypes (sample i has label i % k).
+void noisy_clusters(Rng& rng, std::size_t k, std::size_t dim,
+                    std::size_t per_class, double flip,
+                    std::vector<BipolarHV>& prototypes,
+                    std::vector<BipolarHV>& hvs,
+                    std::vector<std::size_t>& labels) {
+  for (std::size_t c = 0; c < k; ++c) prototypes.push_back(rng.sign_vector(dim));
+  for (std::size_t i = 0; i < k * per_class; ++i) {
+    auto hv = prototypes[i % k];
+    for (auto& v : hv) {
+      if (rng.bernoulli(flip)) v = static_cast<std::int8_t>(-v);
+    }
+    hvs.push_back(std::move(hv));
+    labels.push_back(i % k);
+  }
+}
+
 /// Reference perceptron for the differential test below: dense int32 class
 /// accumulators scored by int64 dot products and cosine, with no bit planes
 /// and no cache. Ties go to the lowest class index.
@@ -122,18 +141,9 @@ TEST(Classifier, RetrainMatchesNaiveReferencePerceptron) {
   const std::size_t k = 4, dim = 333, per_class = 120;
   for (const std::uint64_t seed : {7u, 8u, 9u, 10u}) {
     Rng rng(seed);
-    std::vector<BipolarHV> prototypes;
-    for (std::size_t c = 0; c < k; ++c) prototypes.push_back(rng.sign_vector(dim));
-    std::vector<BipolarHV> hvs;
+    std::vector<BipolarHV> prototypes, hvs;
     std::vector<std::size_t> labels;
-    for (std::size_t i = 0; i < k * per_class; ++i) {
-      auto hv = prototypes[i % k];
-      for (auto& v : hv) {
-        if (rng.bernoulli(0.47)) v = static_cast<std::int8_t>(-v);
-      }
-      hvs.push_back(std::move(hv));
-      labels.push_back(i % k);
-    }
+    noisy_clusters(rng, k, dim, per_class, 0.47, prototypes, hvs, labels);
 
     HDClassifier clf(k, dim);
     HDClassifier stepped(k, dim);
@@ -164,6 +174,151 @@ TEST(Classifier, RetrainMatchesNaiveReferencePerceptron) {
       EXPECT_EQ(stepped.class_accumulator(c), ref.classes[c])
           << "seed " << seed << " class " << c;
     }
+  }
+}
+
+/// A model rebuilt from `clf`'s accumulators with a cold cache.
+HDClassifier cold_twin(const HDClassifier& clf) {
+  HDClassifier twin(clf.num_classes(), clf.dim(), clf.config());
+  for (std::size_t c = 0; c < clf.num_classes(); ++c) {
+    twin.set_class_accumulator(c, clf.class_accumulator(c));
+  }
+  return twin;
+}
+
+/// Every 5th sample plus tri-state probes must score bit-identically on the
+/// incrementally kept model and its cold twin.
+void expect_matches_cold_twin(const HDClassifier& clf,
+                              const std::vector<BipolarHV>& hvs, Rng& rng,
+                              const std::string& where) {
+  const HDClassifier twin = cold_twin(clf);
+  for (std::size_t i = 0; i < hvs.size(); i += 5) {
+    EXPECT_EQ(clf.similarities(hvs[i]), twin.similarities(hvs[i]))
+        << where << " sample " << i;
+  }
+  for (int p = 0; p < 8; ++p) {
+    std::vector<std::int8_t> q(clf.dim());
+    for (auto& v : q) v = static_cast<std::int8_t>(static_cast<int>(rng.index(3)) - 1);
+    EXPECT_EQ(clf.similarities(q), twin.similarities(q)) << where << " probe " << p;
+  }
+}
+
+std::int64_t sum_of_squares(const AccumHV& acc) {
+  std::int64_t s = 0;
+  for (const std::int32_t v : acc) s += static_cast<std::int64_t>(v) * v;
+  return s;
+}
+
+TEST(Classifier, IncrementalRetrainMatchesColdTwinEveryEpoch) {
+  // Retrain keeps planes and denominators current in place; after every
+  // epoch, a twin rebuilt from the same accumulators must give the same
+  // doubles. A dimension patch then goes through the same check.
+  const std::size_t k = 4, dim = 333, per_class = 120;
+  for (const std::uint64_t seed : {21u, 22u, 23u, 24u}) {
+    Rng rng(seed);
+    std::vector<BipolarHV> prototypes, hvs;
+    std::vector<std::size_t> labels;
+    noisy_clusters(rng, k, dim, per_class, 0.47, prototypes, hvs, labels);
+    HDClassifier clf(k, dim);
+    for (std::size_t i = 0; i < hvs.size(); ++i) clf.add_sample(labels[i], hvs[i]);
+
+    std::size_t epochs = 0;
+    for (std::size_t e = 0; e < clf.config().retrain_epochs; ++e, ++epochs) {
+      const std::size_t errors = clf.retrain_epoch(hvs, labels);
+      expect_matches_cold_twin(clf, hvs, rng,
+                               "seed " + std::to_string(seed) + " epoch " +
+                                   std::to_string(e));
+      if (errors == 0) break;
+    }
+    EXPECT_GT(epochs, 2u) << "seed " << seed;
+
+    const std::vector<std::uint32_t> dims = {0, 5, 64, 200, 332};
+    const std::vector<std::int32_t> deltas = {3, -7, 1, 40, -2};
+    clf.add_to_dimensions(1, dims, deltas);
+    expect_matches_cold_twin(clf, hvs, rng,
+                             "seed " + std::to_string(seed) + " patch");
+  }
+}
+
+/// Rewrites lane 0 of class `c` so its sum of squares lands in
+/// [target - 2|lane| - 1000, target - 1000]: within about one lane's step
+/// (~1e7 at these magnitudes) of `target`.
+void set_sum_of_squares_near(HDClassifier& clf, std::size_t c,
+                             std::int64_t target) {
+  AccumHV acc = clf.class_accumulator(c);
+  const std::int64_t v = acc[0];
+  const std::int64_t square = v * v + target - sum_of_squares(acc) - 1000;
+  auto mag = static_cast<std::int64_t>(std::sqrt(static_cast<double>(square)));
+  while (mag * mag > square) --mag;
+  acc[0] = static_cast<std::int32_t>(v < 0 ? -mag : mag);
+  clf.set_class_accumulator(c, std::move(acc));
+}
+
+TEST(Classifier, IncrementalRetrainAcrossExactSumOfSquaresLimit) {
+  // Class magnitudes of ~5e6 put sum c_i^2 next to 2^53, where the exact
+  // update must hand over to norm()-based rebuilds and back. The twin check
+  // holds on both sides of the limit.
+  const std::size_t dim = 333;
+  constexpr std::int64_t kLimit = std::int64_t{1} << 53;
+  const auto m = static_cast<std::int32_t>(
+      std::sqrt(static_cast<double>(kLimit) / static_cast<double>(dim)));
+
+  {
+    // Upward: every sample is labelled 0 but class 1 (the same scaled
+    // prototype plus the bundled samples) scores higher, so class 0 takes
+    // +sample updates that push it from just below 2^53 past it.
+    Rng rng(25);
+    const BipolarHV proto = rng.sign_vector(dim);
+    std::vector<BipolarHV> hvs;
+    for (int i = 0; i < 40; ++i) {
+      auto hv = proto;
+      for (auto& v : hv) {
+        if (rng.bernoulli(0.1)) v = static_cast<std::int8_t>(-v);
+      }
+      hvs.push_back(std::move(hv));
+    }
+    const std::vector<std::size_t> labels(hvs.size(), 0);
+    HDClassifier clf(2, dim);
+    AccumHV scaled(dim);
+    for (std::size_t i = 0; i < dim; ++i) scaled[i] = m * proto[i];
+    clf.set_class_accumulator(0, scaled);
+    for (const auto& hv : hvs) bundle_into(scaled, hv);
+    clf.set_class_accumulator(1, scaled);
+    set_sum_of_squares_near(clf, 0, kLimit);
+    ASSERT_LT(sum_of_squares(clf.class_accumulator(0)), kLimit);
+    ASSERT_GT(sum_of_squares(clf.class_accumulator(0)), kLimit - 20000000);
+    clf.warm_cache();
+
+    const std::size_t errors = clf.retrain_epoch(hvs, labels);
+    expect_matches_cold_twin(clf, hvs, rng, "upward");
+    EXPECT_GT(errors, 0u);
+    EXPECT_GE(sum_of_squares(clf.class_accumulator(0)), kLimit);
+  }
+  {
+    // Downward: scaled noisy clusters lose magnitude over retraining, so a
+    // class that starts just above 2^53 drops back under it.
+    const std::size_t k = 3;
+    Rng rng(26);
+    std::vector<BipolarHV> prototypes, hvs;
+    std::vector<std::size_t> labels;
+    noisy_clusters(rng, k, dim, 60, 0.45, prototypes, hvs, labels);
+    HDClassifier clf(k, dim);
+    for (std::size_t i = 0; i < hvs.size(); ++i) clf.add_sample(labels[i], hvs[i]);
+    for (std::size_t c = 0; c < 2; ++c) {
+      AccumHV acc = clf.class_accumulator(c);
+      for (std::size_t i = 0; i < dim; ++i) acc[i] += m * prototypes[c][i];
+      clf.set_class_accumulator(c, std::move(acc));
+    }
+    set_sum_of_squares_near(clf, 0, kLimit + 20000000);
+    ASSERT_GE(sum_of_squares(clf.class_accumulator(0)), kLimit);
+
+    std::size_t updates = 0;
+    for (std::size_t e = 0; e < 4; ++e) {
+      updates += clf.retrain_epoch(hvs, labels);
+      expect_matches_cold_twin(clf, hvs, rng, "downward epoch " + std::to_string(e));
+    }
+    EXPECT_GT(updates, 0u);
+    EXPECT_LT(sum_of_squares(clf.class_accumulator(0)), kLimit);
   }
 }
 

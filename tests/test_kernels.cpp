@@ -7,7 +7,9 @@
 //   * packed forms vs the unpacked reference (dot, planes, wire bytes),
 //     across awkward dimensions (empty, size 1, word boundaries, primes);
 //   * scalar_table() vs simd_table() on every kernel, bitwise;
-//   * the classifier's lazy norm/plane cache vs direct cosine after every
+//   * incremental plane updates vs a build_planes rebuild, from the edges of
+//     each plane width through appended planes, on every backend;
+//   * the classifier's norm/plane cache vs direct cosine after every
 //     mutating entry point;
 //   * end-to-end train → retrain → predict equality between
 //     force_backend(kScalar) and force_backend(kSimd) across 1/2/8 workers.
@@ -134,6 +136,208 @@ TEST(Planes, ZeroAccumulatorDotsToZero) {
   const auto q = rng.sign_vector(100);
   EXPECT_EQ(kernels::planes_dot(kernels::pack_query(q), kernels::build_planes(acc)),
             0);
+}
+
+// ---- incremental plane updates (planes_add / add_query) --------------------
+
+/// `acc` as exactly `nplanes` two's-complement planes (build_planes picks the
+/// wire width, one plane wider than -2^k needs).
+kernels::PackedPlanes planes_at_width(std::span<const std::int32_t> acc,
+                                      std::size_t nplanes) {
+  kernels::PackedPlanes p;
+  p.dim = acc.size();
+  p.nplanes = nplanes;
+  const std::size_t words = kernels::packed_words(p.dim);
+  p.planes.assign(nplanes * words, 0);
+  for (std::size_t i = 0; i < p.dim; ++i) {
+    const auto u = static_cast<std::uint64_t>(static_cast<std::int64_t>(acc[i]));
+    for (std::size_t b = 0; b < nplanes; ++b) {
+      if ((u >> b) & 1U) {
+        p.planes[b * words + i / 64] |= std::uint64_t{1} << (i % 64);
+      }
+    }
+  }
+  return p;
+}
+
+/// Lane i read back from the planes (the top plane weighs -2^(nplanes-1)).
+std::int64_t lane_value(const kernels::PackedPlanes& p, std::size_t i) {
+  const std::size_t words = kernels::packed_words(p.dim);
+  std::int64_t v = 0;
+  for (std::size_t b = 0; b < p.nplanes; ++b) {
+    if (((p.planes[b * words + i / 64] >> (i % 64)) & 1U) == 0) continue;
+    const std::int64_t weight = std::int64_t{1} << b;
+    v += b + 1 == p.nplanes ? -weight : weight;
+  }
+  return v;
+}
+
+/// True when no plane has a bit set past `dim`.
+bool padding_clear(const kernels::PackedPlanes& p) {
+  if (p.dim % 64 == 0) return true;
+  const std::size_t words = kernels::packed_words(p.dim);
+  const std::uint64_t pad = ~((std::uint64_t{1} << (p.dim % 64)) - 1);
+  for (std::size_t b = 0; b < p.nplanes; ++b) {
+    if ((p.planes[b * words + words - 1] & pad) != 0) return false;
+  }
+  return true;
+}
+
+/// Seeded add/subtract sequence on the active backend. Stage k (1..20)
+/// starts every lane at +(2^k - 1), -(2^k - 1) or -2^k — the edges of the
+/// (k+1)-bit range — packed at exactly k + 1 planes, then adds random
+/// tri-state queries with random signs. After every step the planes must
+/// decode to the reference accumulator, dot like a build_planes rebuild and
+/// keep their padding clear. Returns every step's plane words and, via
+/// `growths`, how many steps appended a plane.
+std::vector<std::vector<std::uint64_t>> run_plane_updates(
+    std::size_t dim, std::uint64_t seed, std::size_t& growths) {
+  Rng rng(seed);
+  std::vector<std::vector<std::uint64_t>> trace;
+  growths = 0;
+  for (std::size_t k = 1; k <= 20; ++k) {
+    const std::int32_t edge = (std::int32_t{1} << k) - 1;
+    AccumHV acc(dim);
+    for (auto& v : acc) {
+      const auto r = rng.index(3);
+      v = r == 0 ? edge : (r == 1 ? -edge : -edge - 1);
+    }
+    auto planes = planes_at_width(acc, k + 1);
+    for (int step = 0; step < 8; ++step) {
+      const auto q = tri_state_vector(rng, dim);
+      const int sign = rng.index(2) == 0 ? 1 : -1;
+      const std::size_t before = planes.nplanes;
+      kernels::add_query(planes, kernels::pack_query(q), sign);
+      for (std::size_t i = 0; i < dim; ++i) acc[i] += sign * q[i];
+      EXPECT_LE(planes.nplanes, before + 1);
+      if (planes.nplanes > before) ++growths;
+      for (std::size_t i = 0; i < dim; ++i) {
+        EXPECT_EQ(lane_value(planes, i), acc[i])
+            << "dim " << dim << " stage " << k << " step " << step << " lane " << i;
+      }
+      const auto probe = kernels::pack_query(tri_state_vector(rng, dim));
+      EXPECT_EQ(kernels::planes_dot(probe, planes),
+                kernels::planes_dot(probe, kernels::build_planes(acc)))
+          << "dim " << dim << " stage " << k << " step " << step;
+      EXPECT_TRUE(padding_clear(planes))
+          << "dim " << dim << " stage " << k << " step " << step;
+      trace.push_back(planes.planes);
+    }
+  }
+  return trace;
+}
+
+class PlaneUpdates : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PlaneUpdates, RandomSequencesMatchRebuildAndGrowPlanes) {
+  std::size_t growths = 0;
+  const auto trace = run_plane_updates(GetParam(), 81, growths);
+  EXPECT_EQ(trace.size(), 160U);
+  // Every stage starts at the edge of its range, so planes are appended.
+  EXPECT_GT(growths, 0U);
+  // Stage 20 ends at 21 or 22 planes.
+  const std::size_t words = kernels::packed_words(GetParam());
+  EXPECT_GE(trace.back().size(), 21 * words);
+}
+
+TEST_P(PlaneUpdates, ScalarAndSimdTablesWriteIdenticalPlanes) {
+  if (kernels::simd_table() == nullptr) {
+    GTEST_SKIP() << "no SIMD backend in this binary/CPU";
+  }
+  BackendGuard guard;
+  std::size_t scalar_growths = 0;
+  std::size_t simd_growths = 0;
+  ASSERT_TRUE(kernels::force_backend(kernels::Backend::kScalar));
+  const auto scalar = run_plane_updates(GetParam(), 82, scalar_growths);
+  ASSERT_TRUE(kernels::force_backend(kernels::Backend::kSimd));
+  const auto simd = run_plane_updates(GetParam(), 82, simd_growths);
+  EXPECT_EQ(scalar, simd);
+  EXPECT_EQ(scalar_growths, simd_growths);
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, PlaneUpdates,
+                         ::testing::Values(1, 63, 64, 65, 333, 4096));
+
+TEST(Planes, PlanesAddWrapsModuloWidthAndSkipsOverlappingLanes) {
+  // Arbitrary plane words (every 5-bit value occurs), overlapping masks:
+  // each table must give (v + inc - dec) mod 2^5 per lane and report the
+  // wrap exactly when a lane steps past 15 or below -16. Six words cover a
+  // full 4-word SIMD block plus a tail.
+  const std::size_t words = 6, nplanes = 5;
+  Rng rng(83);
+  std::vector<const kernels::KernelTable*> tables = {&kernels::scalar_table()};
+  if (kernels::simd_table() != nullptr) tables.push_back(kernels::simd_table());
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<std::uint64_t> planes(words * nplanes), inc(words), dec(words);
+    for (auto& w : planes) w = rng.engine()();
+    for (auto& w : inc) w = rng.engine()();
+    for (auto& w : dec) w = rng.engine()();
+    kernels::PackedPlanes before{words * 64, nplanes, planes};
+    bool expect_wrap = false;
+    std::vector<std::int64_t> expected(words * 64);
+    for (std::size_t i = 0; i < words * 64; ++i) {
+      const std::int64_t up = (inc[i / 64] >> (i % 64)) & 1U;
+      const std::int64_t down = (dec[i / 64] >> (i % 64)) & 1U;
+      std::int64_t v = lane_value(before, i) + up - down;
+      if (v > 15 || v < -16) {
+        expect_wrap = true;
+        v = v > 15 ? v - 32 : v + 32;
+      }
+      expected[i] = v;
+    }
+    std::vector<std::vector<std::uint64_t>> outs;
+    for (const auto* t : tables) {
+      auto out = planes;
+      EXPECT_EQ(t->planes_add(out.data(), words, nplanes, inc.data(), dec.data()),
+                expect_wrap)
+          << t->name << " trial " << trial;
+      const kernels::PackedPlanes after{words * 64, nplanes, out};
+      for (std::size_t i = 0; i < words * 64; ++i) {
+        ASSERT_EQ(lane_value(after, i), expected[i])
+            << t->name << " trial " << trial << " lane " << i;
+      }
+      outs.push_back(std::move(out));
+    }
+    for (std::size_t t = 1; t < outs.size(); ++t) EXPECT_EQ(outs[t], outs[0]);
+  }
+}
+
+TEST(Planes, TrimDropsOnlyRedundantSignPlanes) {
+  // Values padded out to 12 planes come back at the narrowest
+  // two's-complement width (2 at least) that holds their min and max.
+  Rng rng(84);
+  for (const std::size_t dim : {std::size_t{1}, std::size_t{65}, std::size_t{333}}) {
+    for (const std::size_t hi : {0U, 1U, 5U, 8U, 100U}) {
+      AccumHV acc(dim);
+      std::int64_t lo = 0, top = 0;
+      for (auto& v : acc) {
+        v = static_cast<std::int32_t>(rng.index(2 * hi + 2)) -
+            static_cast<std::int32_t>(hi) - 1;
+        lo = std::min<std::int64_t>(lo, v);
+        top = std::max<std::int64_t>(top, v);
+      }
+      std::size_t width = 2;
+      while (top >= (std::int64_t{1} << (width - 1)) ||
+             lo < -(std::int64_t{1} << (width - 1))) {
+        ++width;
+      }
+      auto planes = planes_at_width(acc, 12);
+      kernels::trim_planes(planes);
+      EXPECT_EQ(planes.nplanes, width) << "dim " << dim << " hi " << hi;
+      EXPECT_EQ(planes.planes.size(), width * kernels::packed_words(dim));
+      for (std::size_t i = 0; i < dim; ++i) EXPECT_EQ(lane_value(planes, i), acc[i]);
+    }
+  }
+}
+
+TEST(Planes, AddQueryValidatesShape) {
+  AccumHV acc(10, 3);
+  auto planes = kernels::build_planes(acc);
+  const auto q = kernels::pack_query(BipolarHV(11, 1));
+  EXPECT_THROW(kernels::add_query(planes, q, 1), std::invalid_argument);
+  kernels::PackedPlanes empty;
+  empty.dim = 11;
+  EXPECT_THROW(kernels::add_query(empty, q, 1), std::invalid_argument);
 }
 
 // ---- scalar vs SIMD table, kernel by kernel --------------------------------
