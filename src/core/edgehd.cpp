@@ -30,6 +30,7 @@ struct CoreObs {
   obs::Counter routed_unserved;
   obs::Counter routed_bytes;
   obs::Counter routed_retry_bytes;
+  obs::Counter routed_encoded_nodes;
   obs::Histogram confidence;
   obs::Counter train_initial_bytes, train_initial_messages;
   obs::Counter retrain_bytes, retrain_messages;
@@ -49,6 +50,9 @@ struct CoreObs {
         c.routed_unserved = reg.counter("core.routed.unserved");
         c.routed_bytes = reg.counter("core.routed.bytes");
         c.routed_retry_bytes = reg.counter("core.routed.retry_bytes");
+        // Nodes whose hypervector a routed query computed (leaf encodes and
+        // aggregations): 1 for a query answered at its leaf.
+        c.routed_encoded_nodes = reg.counter("core.routed.encoded_nodes");
         // Confidence-threshold histogram: where served queries landed
         // relative to SystemConfig::confidence_threshold.
         std::vector<double> bounds;
@@ -73,9 +77,11 @@ struct CoreObs {
   }
 };
 
-void record_routed(const RoutedResult& result) {
+void record_routed(const RoutedResult& result,
+                   const proto::QueryEncoding& enc) {
   const CoreObs& o = CoreObs::get();
   o.routed_queries.inc();
+  o.routed_encoded_nodes.inc(enc.encoded_nodes());
   if (!result.served()) {
     o.routed_unserved.inc();
     return;
@@ -119,6 +125,9 @@ EdgeHdSystem::EdgeHdSystem(const data::Dataset& ds, net::Topology topology,
     throw std::invalid_argument(
         "EdgeHdSystem: topology leaf count must match dataset partitions");
   }
+  partition_offsets_.resize(ds_.partitions.size());
+  std::exclusive_scan(ds_.partitions.begin(), ds_.partitions.end(),
+                      partition_offsets_.begin(), std::size_t{0});
   if (config_.classify_min_level == 0 ||
       config_.classify_min_level > topology_.depth()) {
     throw std::invalid_argument(
@@ -213,6 +222,15 @@ proto::RoutingContext EdgeHdSystem::routing_context() const {
   ctx.max_retries = config_.reliable.max_retries;
   ctx.escalations = &CoreObs::get().routed_escalations;
   return ctx;
+}
+
+proto::EncodingView EdgeHdSystem::encoding_view() const {
+  proto::EncodingView view;
+  view.topology = &topology_;
+  view.nodes = nodes_;
+  view.partition_offsets = partition_offsets_;
+  view.partition_sizes = ds_.partitions;
+  return view;
 }
 
 proto::TrainData EdgeHdSystem::train_data() const {
@@ -348,74 +366,17 @@ std::vector<NodeId> EdgeHdSystem::bottom_up_order() const {
   return order;
 }
 
+proto::QueryEncoding EdgeHdSystem::encoding(std::span<const float> x,
+                                            net::HealthMask mask) const {
+  if (x.size() != ds_.num_features) {
+    throw std::invalid_argument("EdgeHdSystem: feature count mismatch");
+  }
+  return proto::QueryEncoding(encoding_view(), x, std::move(mask));
+}
+
 std::vector<BipolarHV> EdgeHdSystem::encode_all(
-    std::span<const float> x) const {
-  if (x.size() != ds_.num_features) {
-    throw std::invalid_argument("EdgeHdSystem: feature count mismatch");
-  }
-  std::vector<BipolarHV> hvs(topology_.num_nodes());
-  for (NodeId id : bottom_up_order()) {
-    const proto::NodeRuntime& rt = nodes_[id];
-    if (topology_.is_leaf(id)) {
-      const std::size_t offset = ds_.partition_offset(rt.partition());
-      hvs[id] = rt.leaf_encoder().encode(
-          x.subspan(offset, ds_.partitions[rt.partition()]));
-    } else {
-      const auto& kids = topology_.children(id);
-      std::vector<BipolarHV> child_hvs(kids.size());
-      for (std::size_t c = 0; c < kids.size(); ++c) {
-        child_hvs[c] = hvs[kids[c]];
-      }
-      hvs[id] = rt.aggregator().aggregate(child_hvs);
-    }
-  }
-  return hvs;
-}
-
-std::vector<BipolarHV> EdgeHdSystem::encode_all_masked(
-    std::span<const float> x) const {
-  return encode_all_masked(x, health_);
-}
-
-std::vector<BipolarHV> EdgeHdSystem::encode_all_masked(
     std::span<const float> x, const net::HealthMask& mask) const {
-  if (x.size() != ds_.num_features) {
-    throw std::invalid_argument("EdgeHdSystem: feature count mismatch");
-  }
-  const auto up = [&mask](NodeId id) {
-    return mask.empty() || mask.node_up(id);
-  };
-  const auto delivers = [&mask, &up](NodeId child) {
-    return up(child) && (mask.empty() || mask.link_up(child));
-  };
-  // Like encode_all, but a child whose contribution cannot reach its parent
-  // is replaced by silence (all-zero components — the same "no signal"
-  // convention as the Figure-12 erasure model). Crashed nodes emit silence
-  // themselves, so the degradation cascades exactly as a real partition
-  // would.
-  std::vector<BipolarHV> hvs(topology_.num_nodes());
-  for (NodeId id : bottom_up_order()) {
-    const proto::NodeRuntime& rt = nodes_[id];
-    if (!up(id)) {
-      hvs[id] = BipolarHV(rt.dim(), 0);
-      continue;
-    }
-    if (topology_.is_leaf(id)) {
-      const std::size_t offset = ds_.partition_offset(rt.partition());
-      hvs[id] = rt.leaf_encoder().encode(
-          x.subspan(offset, ds_.partitions[rt.partition()]));
-    } else {
-      const auto& kids = topology_.children(id);
-      std::vector<BipolarHV> child_hvs(kids.size());
-      for (std::size_t c = 0; c < kids.size(); ++c) {
-        child_hvs[c] = delivers(kids[c])
-                           ? hvs[kids[c]]
-                           : BipolarHV(nodes_[kids[c]].dim(), 0);
-      }
-      hvs[id] = rt.aggregator().aggregate(child_hvs);
-    }
-  }
-  return hvs;
+  return encoding(x, mask).all();
 }
 
 std::vector<std::size_t> EdgeHdSystem::effective_indices(
@@ -603,40 +564,38 @@ std::uint64_t EdgeHdSystem::query_gather_bytes(NodeId id) const {
 
 RoutedResult EdgeHdSystem::infer_routed(std::span<const float> x,
                                         NodeId start) const {
+  proto::QueryEncoding enc;
+  return route(x, start, enc);
+}
+
+RoutedResult EdgeHdSystem::route(std::span<const float> x, NodeId start,
+                                 proto::QueryEncoding& enc) const {
   if (!has_classifier(start)) {
     throw std::invalid_argument("EdgeHdSystem: start node hosts no classifier");
   }
+  RoutedResult result;
   if (effective_degraded()) {
-    RoutedResult result = infer_routed_degraded(x, start);
-    record_routed(result);
-    if (result.served()) node_serves_[result.node].inc();
-    return result;
+    // A dead origin cannot even pose the question: nothing is encoded.
+    if (node_up(start)) {
+      enc = encoding(x, health_);
+      result = proto::route_query_degraded(routing_context(), enc, start,
+                                           /*query_id=*/0);
+    } else {
+      result.degraded = true;
+    }
+  } else {
+    auto& tracer = obs::Tracer::global();
+    const std::uint64_t span =
+        tracer.begin("core.infer_routed", obs::kAutoTime, 0, start);
+    enc = encoding(x);
+    tracer.instant("core.encode", obs::kAutoTime, span);
+    result =
+        proto::route_query(routing_context(), enc, start, /*query_id=*/0, span);
+    tracer.end(span);
   }
-  auto& tracer = obs::Tracer::global();
-  const std::uint64_t span =
-      tracer.begin("core.infer_routed", obs::kAutoTime, 0, start);
-  const auto hvs = encode_all(x);
-  tracer.instant("core.encode", obs::kAutoTime, span);
-  const RoutedResult result =
-      proto::route_query(routing_context(), hvs, start, /*query_id=*/0, span);
-  tracer.end(span);
-  record_routed(result);
-  node_serves_[result.node].inc();
+  record_routed(result, enc);
+  if (result.served()) node_serves_[result.node].inc();
   return result;
-}
-
-RoutedResult EdgeHdSystem::infer_routed_degraded(std::span<const float> x,
-                                                 NodeId start) const {
-  if (!node_up(start)) {
-    // The query's origin is dead; nobody can even pose the question (and
-    // there is nothing worth encoding).
-    RoutedResult result;
-    result.degraded = true;
-    return result;
-  }
-  const auto hvs = encode_all_masked(x);
-  return proto::route_query_degraded(routing_context(), hvs, start,
-                                     /*query_id=*/0);
 }
 
 std::vector<RoutedResult> EdgeHdSystem::infer_routed_batch(
@@ -686,12 +645,8 @@ std::unique_ptr<serve::Engine> EdgeHdSystem::serve_start(
     }
     return rt.leaf_encoder().encode_batch(slices, *pool_);
   };
-  b.encode_all = [this](std::uint64_t sample) {
-    return encode_all(ds_.test_x[sample]);
-  };
-  b.encode_all_masked = [this](std::uint64_t sample,
-                               const net::HealthMask& mask) {
-    return encode_all_masked(ds_.test_x[sample], mask);
+  b.encoding = [this](std::uint64_t sample, net::HealthMask mask) {
+    return encoding(ds_.test_x[sample], std::move(mask));
   };
   const CoreObs& o = CoreObs::get();
   b.routed_queries = o.routed_queries;
@@ -699,6 +654,7 @@ std::unique_ptr<serve::Engine> EdgeHdSystem::serve_start(
   b.routed_unserved = o.routed_unserved;
   b.routed_bytes = o.routed_bytes;
   b.routed_retry_bytes = o.routed_retry_bytes;
+  b.routed_encoded_nodes = o.routed_encoded_nodes;
   b.routed_confidence = o.confidence;
   b.node_serves = node_serves_;
   return std::make_unique<serve::Engine>(cfg, std::move(b));
@@ -726,15 +682,15 @@ serve::ServeReport EdgeHdSystem::serve_run(
 
 RoutedResult EdgeHdSystem::online_serve(std::span<const float> x,
                                         std::size_t truth, NodeId start) {
-  const RoutedResult result = infer_routed(x, start);
+  proto::QueryEncoding enc;
+  const RoutedResult result = route(x, start, enc);
   if (result.served() && result.label != truth) {
     // The user rejects the answer; only the wrongly matched class is known.
-    // Under a health mask the feedback targets the hypervector the serving
-    // node actually saw (with unreachable contributions silenced).
-    const auto hvs = degraded_ ? encode_all_masked(x) : encode_all(x);
+    // The feedback targets the hypervector the serving node classified —
+    // under a health mask, with unreachable contributions silenced.
+    const BipolarHV& hv = enc.at(result.node);
     for (std::size_t w = 0; w < config_.feedback_weight; ++w) {
-      nodes_[result.node].classifier().feedback_negative(result.label,
-                                                         hvs[result.node]);
+      nodes_[result.node].classifier().feedback_negative(result.label, hv);
     }
   }
   return result;

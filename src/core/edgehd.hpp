@@ -174,8 +174,11 @@ class EdgeHdSystem {
 
   /// Encodes a full feature vector at every node of the hierarchy (leaf
   /// encoders at the leaves, hierarchical aggregation above). Indexed by
-  /// NodeId.
-  std::vector<hdc::BipolarHV> encode_all(std::span<const float> x) const;
+  /// NodeId. Under a non-empty `mask`, a child whose contribution cannot
+  /// reach its parent is silenced (all-zero components) and a down node
+  /// emits silence — the encodings degraded routing classifies.
+  std::vector<hdc::BipolarHV> encode_all(std::span<const float> x,
+                                         const net::HealthMask& mask = {}) const;
 
   // ---- training ------------------------------------------------------------
 
@@ -369,16 +372,15 @@ class EdgeHdSystem {
   /// are both up (the parent's own liveness is the caller's context).
   bool child_delivers(net::NodeId child) const noexcept;
 
-  /// encode_all with unreachable child contributions zeroed (the transport
-  /// analogue of the Figure-12 dimension erasure), under the installed mask.
-  std::vector<hdc::BipolarHV> encode_all_masked(std::span<const float> x) const;
-  /// Same, under an explicit mask (the serving plane re-snapshots health per
-  /// virtual time, so it cannot use the installed member mask).
-  std::vector<hdc::BipolarHV> encode_all_masked(
-      std::span<const float> x, const net::HealthMask& mask) const;
+  /// The on-demand encoding of `x` (proto::QueryEncoding) under `mask`;
+  /// validates the feature count.
+  proto::QueryEncoding encoding(std::span<const float> x,
+                                net::HealthMask mask = {}) const;
 
-  RoutedResult infer_routed_degraded(std::span<const float> x,
-                                     net::NodeId start) const;
+  /// infer_routed, leaving the query's encoding in `enc` (bound whenever the
+  /// query was routed) so online feedback reuses what routing encoded.
+  RoutedResult route(std::span<const float> x, net::NodeId start,
+                     proto::QueryEncoding& enc) const;
 
   std::vector<std::size_t> effective_indices(
       std::span<const std::size_t> train_indices) const;
@@ -392,6 +394,8 @@ class EdgeHdSystem {
   proto::SessionContext session_context();
   /// Read-only view + policy knobs for query walks (routing.hpp).
   proto::RoutingContext routing_context() const;
+  /// The encoders and feature layout query encodings read.
+  proto::EncodingView encoding_view() const;
   /// The facade's memoized per-node training encodings, as sessions see
   /// them.
   proto::TrainData train_data() const;
@@ -415,6 +419,8 @@ class EdgeHdSystem {
   /// round-trips the real wire codec in transit.
   std::unique_ptr<proto::LocalBus> bus_;
   std::vector<net::NodeId> leaves_;
+  /// Feature offset of each dataset partition (prefix sums of partitions).
+  std::vector<std::size_t> partition_offsets_;
 
   // Memoized encodings: encoded_train_[node][sample], encoded_test_ likewise.
   std::vector<std::vector<hdc::BipolarHV>> encoded_train_;

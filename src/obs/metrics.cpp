@@ -24,20 +24,59 @@ namespace {
 
 std::atomic<std::uint64_t> g_next_registry_id{1};
 
-/// One entry per (thread, registry) pair the thread has written to. The
-/// registry id is process-unique and never reused, so an entry for a
-/// destroyed registry can never be mistaken for a live one — it just stops
-/// matching and its dangling pointer is never dereferenced.
-struct TlsShardRef {
-  std::uint64_t reg_id;
-  std::atomic<std::uint64_t>* slots;
+/// Registries alive right now, by id. Leaked on purpose: threads may exit,
+/// and retire their shards, during static destruction.
+struct LiveRegistries {
+  std::mutex mu;
+  std::map<std::uint64_t, MetricsRegistry*> by_id;
 };
-thread_local std::vector<TlsShardRef> t_shards;
+
+LiveRegistries& live_registries() {
+  static auto* live = new LiveRegistries;
+  return *live;
+}
+
+/// Set once the calling thread's ThreadShards is destroyed; a thread-local
+/// destructor that runs later and writes a metric must not touch it.
+thread_local bool t_shards_retired = false;
 
 }  // namespace
 
+/// One entry per registry the thread has written to. The registry id is
+/// process-unique and never reused, so an entry for a destroyed registry can
+/// never be mistaken for a live one — it just stops matching and its
+/// dangling pointer is never dereferenced.
+struct MetricsRegistry::ThreadShards {
+  struct Ref {
+    std::uint64_t reg_id;
+    std::atomic<std::uint64_t>* slots;
+  };
+  std::vector<Ref> refs;
+
+  ThreadShards() = default;
+  ThreadShards(const ThreadShards&) = delete;
+  ThreadShards& operator=(const ThreadShards&) = delete;
+  ~ThreadShards() {
+    t_shards_retired = true;
+    LiveRegistries& live = live_registries();
+    // Held across the retirements so no registry is destroyed mid-fold.
+    std::lock_guard<std::mutex> lk(live.mu);
+    for (const Ref& r : refs) {
+      if (auto it = live.by_id.find(r.reg_id); it != live.by_id.end()) {
+        it->second->retire_shard(r.slots);
+      }
+    }
+  }
+
+  static ThreadShards& mine() {
+    thread_local ThreadShards shards;
+    return shards;
+  }
+};
+
 std::atomic<std::uint64_t>* MetricsRegistry::my_slots() {
-  for (const TlsShardRef& e : t_shards) {
+  if (t_shards_retired) return retired_slots();
+  for (const ThreadShards::Ref& e : ThreadShards::mine().refs) {
     if (e.reg_id == id_) return e.slots;
   }
   return register_shard();
@@ -50,8 +89,40 @@ std::atomic<std::uint64_t>* MetricsRegistry::register_shard() {
     std::lock_guard<std::mutex> lk(mu_);
     shards_.push_back(std::move(shard));
   }
-  t_shards.push_back(TlsShardRef{id_, slots});
+  ThreadShards::mine().refs.push_back(ThreadShards::Ref{id_, slots});
   return slots;
+}
+
+void MetricsRegistry::retire_shard(const std::atomic<std::uint64_t>* slots) {
+  std::lock_guard<std::mutex> lk(mu_);
+  const auto it = std::find_if(
+      shards_.begin(), shards_.end(),
+      [slots](const auto& sh) { return sh->slots.get() == slots; });
+  if (it == shards_.end()) return;
+  if (retired_ == nullptr) {
+    // The first exiting thread's shard becomes the retired shard as is.
+    retired_ = it->get();
+    return;
+  }
+  for (std::size_t i = 0; i < next_slot_; ++i) {
+    retired_->slots[i].fetch_add(slots[i].load(std::memory_order_relaxed),
+                                 std::memory_order_relaxed);
+  }
+  shards_.erase(it);
+}
+
+std::atomic<std::uint64_t>* MetricsRegistry::retired_slots() {
+  std::lock_guard<std::mutex> lk(mu_);
+  if (retired_ == nullptr) {
+    shards_.push_back(std::make_unique<Shard>(slot_capacity_));
+    retired_ = shards_.back().get();
+  }
+  return retired_->slots.get();
+}
+
+std::size_t MetricsRegistry::shard_count() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return shards_.size();
 }
 
 void MetricsRegistry::add_slot(std::uint32_t slot, std::uint64_t n) noexcept {
@@ -79,9 +150,18 @@ std::uint32_t MetricsRegistry::take_slots(std::size_t n) {
 
 MetricsRegistry::MetricsRegistry(std::size_t slot_capacity)
     : id_(g_next_registry_id.fetch_add(1, std::memory_order_relaxed)),
-      slot_capacity_(slot_capacity) {}
+      slot_capacity_(slot_capacity) {
+  LiveRegistries& live = live_registries();
+  std::lock_guard<std::mutex> lk(live.mu);
+  live.by_id.emplace(id_, this);
+}
 
-MetricsRegistry::~MetricsRegistry() = default;
+MetricsRegistry::~MetricsRegistry() {
+  // Threads exiting from here on leave this registry's shards alone.
+  LiveRegistries& live = live_registries();
+  std::lock_guard<std::mutex> lk(live.mu);
+  live.by_id.erase(id_);
+}
 
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry reg;

@@ -5,7 +5,9 @@
 //   1. Hot paths touch no shared state. Counter::inc and Histogram::observe
 //      land in a per-thread shard (a flat array of relaxed atomics owned by
 //      the calling thread); readers sum across shards. An increment costs a
-//      thread-local lookup plus one uncontended fetch_add (~2 ns).
+//      thread-local lookup plus one uncontended fetch_add (~2 ns). When a
+//      thread exits, its shard is folded into the registry's one retired
+//      shard and freed, so totals survive and memory tracks live writers.
 //   2. Deterministic export. Integer slot sums are order-independent, so
 //      `to_json` is byte-identical across runs regardless of thread
 //      interleaving — for every metric registered as *stable*. Metrics whose
@@ -179,6 +181,10 @@ class MetricsRegistry {
   /// survive. Callers must be quiescent (no concurrent writers).
   void reset();
 
+  /// Shards currently held: one per live thread that has written here, plus
+  /// at most one retired shard holding the totals of exited threads.
+  std::size_t shard_count() const;
+
   /// The process-wide registry every built-in hook reports to.
   static MetricsRegistry& global();
 
@@ -186,6 +192,9 @@ class MetricsRegistry {
   friend class Counter;
   friend class Histogram;
   struct Shard;
+  /// The calling thread's shard pointers, one per registry it wrote to;
+  /// its destructor retires them at thread exit.
+  struct ThreadShards;
 
   struct CounterDef {
     std::string name;
@@ -200,6 +209,11 @@ class MetricsRegistry {
 
   std::atomic<std::uint64_t>* my_slots();
   std::atomic<std::uint64_t>* register_shard();
+  /// Folds an exiting thread's shard into the retired shard and frees it.
+  void retire_shard(const std::atomic<std::uint64_t>* slots);
+  /// The retired shard's slots (created on demand); writes from a thread
+  /// whose shards were already retired land here.
+  std::atomic<std::uint64_t>* retired_slots();
   std::uint32_t take_slots(std::size_t n);
   std::uint64_t sum_slot(std::uint32_t slot) const;  // caller holds mu_
   void add_slot(std::uint32_t slot, std::uint64_t n) noexcept;
@@ -208,6 +222,7 @@ class MetricsRegistry {
   const std::size_t slot_capacity_;
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  Shard* retired_ = nullptr;  ///< one of shards_, owned by no live thread
   /// name -> (kind, index into the matching deque)
   std::map<std::string, std::pair<char, std::uint32_t>> names_;
   std::deque<CounterDef> counters_;

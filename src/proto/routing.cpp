@@ -105,12 +105,12 @@ void account_reply(const RoutedResult& result, std::uint64_t query_id) {
                  static_cast<std::uint8_t>(result.degraded ? 1 : 0)});
 }
 
-RoutedResult route_query(const RoutingContext& ctx,
-                         std::span<const hdc::BipolarHV> hvs, NodeId start,
-                         std::uint64_t query_id, std::uint64_t trace_span) {
+RoutedResult route_query(const RoutingContext& ctx, QueryEncoding& enc,
+                         NodeId start, std::uint64_t query_id,
+                         std::uint64_t trace_span) {
   auto& tracer = obs::Tracer::global();
   NodeId current = start;
-  hdc::Prediction pred = ctx.nodes[current].predict(hvs[current]);
+  hdc::Prediction pred = ctx.nodes[current].predict(enc.at(current));
   std::uint32_t hops = 0;
   RoutedResult result;
   while (true) {
@@ -130,9 +130,9 @@ RoutedResult route_query(const RoutingContext& ctx,
     // The query ships as a typed envelope payload, encoded for the
     // destination's hypervector space; the ancestor predicts on what the
     // message carries.
-    account_escalation(hvs[next], query_id, ++hops);
+    account_escalation(enc.at(next), query_id, ++hops);
     current = next;
-    pred = ctx.nodes[current].predict(hvs[current]);
+    pred = ctx.nodes[current].predict(enc.at(current));
   }
   result.bytes = query_gather_bytes(ctx, result.node);
   account_reply(result, query_id);
@@ -140,8 +140,8 @@ RoutedResult route_query(const RoutingContext& ctx,
 }
 
 RoutedResult route_query_degraded(const RoutingContext& ctx,
-                                  std::span<const hdc::BipolarHV> hvs,
-                                  NodeId start, std::uint64_t query_id) {
+                                  QueryEncoding& enc, NodeId start,
+                                  std::uint64_t query_id) {
   RoutedResult result;
   if (!ctx.origin_up(start)) {
     // The query's origin is physically dead; nobody can even pose the
@@ -151,7 +151,7 @@ RoutedResult route_query_degraded(const RoutingContext& ctx,
     return result;
   }
   NodeId current = start;
-  hdc::Prediction pred = ctx.nodes[current].predict(hvs[current]);
+  hdc::Prediction pred = ctx.nodes[current].predict(enc.at(current));
   std::uint32_t hops = 0;
   bool cut = false;  // escalation wanted to continue but faults blocked it
   while (true) {
@@ -170,9 +170,9 @@ RoutedResult route_query_degraded(const RoutingContext& ctx,
     }
     if (!ctx.nodes[next].has_classifier()) break;
     ctx.escalations->inc();
-    account_escalation(hvs[next], query_id, ++hops);
+    account_escalation(enc.at(next), query_id, ++hops);
     current = next;
-    pred = ctx.nodes[current].predict(hvs[current]);
+    pred = ctx.nodes[current].predict(enc.at(current));
   }
   if (cut && !ctx.serve_degraded) {
     RoutedResult unserved;

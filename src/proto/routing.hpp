@@ -26,6 +26,7 @@
 #include "net/topology.hpp"
 #include "node_runtime.hpp"
 #include "obs/metrics.hpp"
+#include "query_encoding.hpp"
 #include "types.hpp"
 
 namespace edgehd::proto {
@@ -101,21 +102,21 @@ void account_reply(const RoutedResult& result, std::uint64_t query_id);
 void gather_bytes_masked(const RoutingContext& ctx, net::NodeId id,
                          std::uint64_t& bytes, std::uint64_t& retry_bytes);
 
-/// Fault-free escalation walk over the per-node encodings `hvs` (indexed by
-/// NodeId). Emits "core.predict"/"core.escalate" trace instants under
-/// `trace_span`. Does not record the query-level counters — the facade owns
-/// those.
-RoutedResult route_query(const RoutingContext& ctx,
-                         std::span<const hdc::BipolarHV> hvs,
+/// Fault-free escalation walk over the query's encoding: only the start
+/// node and the classifier ancestors the query escalates to are read, so
+/// only their subtrees are encoded. Emits "core.predict"/"core.escalate"
+/// trace instants under `trace_span`. Does not record the query-level
+/// counters — the facade owns those.
+RoutedResult route_query(const RoutingContext& ctx, QueryEncoding& enc,
                          net::NodeId start, std::uint64_t query_id,
                          std::uint64_t trace_span);
 
 /// Escalation walk under a health mask: hop-by-hop reachability checks; a
 /// dead hop strands the query at the deepest reachable classifier (served
-/// degraded) or reports it unserved under the fail-fast policy. `hvs` must
-/// be the masked encodings (unreachable contributions silenced).
+/// degraded) or reports it unserved under the fail-fast policy. `enc` must
+/// be built under the health mask (unreachable contributions silenced).
 RoutedResult route_query_degraded(const RoutingContext& ctx,
-                                  std::span<const hdc::BipolarHV> hvs,
-                                  net::NodeId start, std::uint64_t query_id);
+                                  QueryEncoding& enc, net::NodeId start,
+                                  std::uint64_t query_id);
 
 }  // namespace edgehd::proto

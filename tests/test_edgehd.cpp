@@ -6,6 +6,8 @@
 #include "core/edgehd.hpp"
 #include "data/dataset.hpp"
 #include "net/topology.hpp"
+#include "obs/metrics.hpp"
+#include "reference_routing.hpp"
 
 namespace {
 
@@ -328,6 +330,111 @@ TEST(EdgeHd, StarTopologyAlsoWorks) {
   sys.train();
   EXPECT_EQ(sys.topology().depth(), 2u);
   EXPECT_GT(sys.accuracy_at_level(2), 0.5);
+}
+
+// ---- on-demand routed encoding vs the eager reference ----------------------
+
+/// 52 two-feature house slices, as on the deep PECAN tree.
+data::Dataset deep_dataset() {
+  auto ds = data::make_synthetic("deep", 104, 3,
+                                 std::vector<std::size_t>(52, 2), 400, 12, 53,
+                                 3.6F, 0.5F, 0.5F);
+  data::zscore_normalize(ds);
+  return ds;
+}
+
+TEST(EdgeHdLazyRouting, PaperTreeMatchesEagerRouting) {
+  const auto ds = four_node_dataset(600, 40);
+  core::EdgeHdSystem sys(ds, net::Topology::paper_tree(4), small_cfg());
+  sys.train();
+  const auto diff = reference::expect_routing_matches_eager(sys, ds, 40);
+  EXPECT_GT(diff.served_at_start, 0u);
+  EXPECT_GT(diff.escalated, 0u);
+  if constexpr (obs::kEnabled) {
+    // Every query confident at its leaf encoded that leaf alone.
+    EXPECT_EQ(diff.one_node_encoded, diff.served_at_start);
+  }
+}
+
+TEST(EdgeHdLazyRouting, DeepUniformTreeMatchesEagerRouting) {
+  const auto ds = deep_dataset();
+  auto cfg = small_cfg();
+  cfg.total_dim = 2000;
+  cfg.min_node_dim = 16;
+  core::EdgeHdSystem sys(ds, net::Topology::uniform_depth(52, 5), cfg);
+  sys.train();
+  const auto diff = reference::expect_routing_matches_eager(sys, ds, 12);
+  EXPECT_GT(diff.served_at_start, 0u);
+  EXPECT_GT(diff.escalated, 0u);
+  if constexpr (obs::kEnabled) {
+    EXPECT_EQ(diff.one_node_encoded, diff.served_at_start);
+  }
+}
+
+TEST(EdgeHdLazyRouting, ConcatenationAggregationMatchesEagerRouting) {
+  const auto ds = four_node_dataset(600, 40);
+  auto cfg = small_cfg();
+  cfg.aggregation = hier::AggregationMode::kConcatenation;
+  core::EdgeHdSystem sys(ds, net::Topology::paper_tree(4), cfg);
+  sys.train();
+  const auto diff = reference::expect_routing_matches_eager(sys, ds, 40);
+  EXPECT_GT(diff.served_at_start, 0u);
+  EXPECT_GT(diff.escalated, 0u);
+}
+
+TEST(EdgeHdLazyRouting, LeafConfidentQueryEncodesOneNode) {
+  if constexpr (!obs::kEnabled) {
+    GTEST_SKIP() << "observability compiled out (-DEDGEHD_OBS=OFF)";
+  }
+  const auto ds = four_node_dataset(200, 20);
+  auto cfg = small_cfg();
+  cfg.confidence_threshold = 0.0;  // every query is answered at its leaf
+  core::EdgeHdSystem sys(ds, net::Topology::paper_tree(4), cfg);
+  sys.train();
+  const auto& reg = obs::MetricsRegistry::global();
+  const auto leaf = sys.topology().leaves().front();
+  const auto encoded0 = reg.counter_value("core.routed.encoded_nodes");
+  const auto escalations0 = reg.counter_value("core.routed.escalations");
+  const auto r = sys.infer_routed(ds.test_x[0], leaf);
+  EXPECT_EQ(r.node, leaf);
+  EXPECT_EQ(reg.counter_value("core.routed.encoded_nodes") - encoded0, 1u);
+  EXPECT_EQ(reg.counter_value("core.routed.escalations") - escalations0, 0u);
+}
+
+TEST(EdgeHdLazyRouting, OnlineFeedbackTargetsTheEagerEncoding) {
+  // online_serve feeds a mistake back with the encoding routing already
+  // built. Once the residuals are applied, the serving node's rejected class
+  // must have lost exactly feedback_weight copies of the eager encoding.
+  const auto ds = four_node_dataset(400, 80);
+  core::EdgeHdSystem sys(ds, net::Topology::paper_tree(4), small_cfg());
+  sys.train();
+  const auto& topo = sys.topology();
+  const auto start = topo.leaves().front();
+  const reference::EagerEncoder encoder(sys, ds);
+  std::size_t checked_leaf = 0;
+  std::size_t checked_above = 0;
+  for (std::size_t s = 0; s < ds.test_size(); ++s) {
+    const auto& x = ds.test_x[s];
+    std::vector<std::vector<hdc::AccumHV>> before(topo.num_nodes());
+    for (net::NodeId id = 0; id < topo.num_nodes(); ++id) {
+      if (!sys.has_classifier(id)) continue;
+      for (std::size_t c = 0; c < ds.num_classes; ++c) {
+        before[id].push_back(sys.classifier_at(id).class_accumulator(c));
+      }
+    }
+    const auto r = sys.online_serve(x, ds.test_y[s], start);
+    if (r.label == ds.test_y[s]) continue;
+    sys.propagate_residuals();
+    const auto hv = encoder.encode_all(x, {})[r.node];
+    hdc::AccumHV want = before[r.node][r.label];
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      want[i] -= static_cast<std::int32_t>(sys.config().feedback_weight) * hv[i];
+    }
+    EXPECT_EQ(sys.classifier_at(r.node).class_accumulator(r.label), want);
+    ++(r.node == start ? checked_leaf : checked_above);
+  }
+  EXPECT_GT(checked_leaf, 0u);
+  EXPECT_GT(checked_above, 0u);
 }
 
 }  // namespace

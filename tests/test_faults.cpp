@@ -17,6 +17,7 @@
 #include "net/simulator.hpp"
 #include "net/topology.hpp"
 #include "proto/messages.hpp"
+#include "reference_routing.hpp"
 
 namespace {
 
@@ -641,6 +642,109 @@ TEST(EdgeHdFaults, DegradedInferenceIsIdenticalAcrossWorkerCounts) {
     EXPECT_EQ(ra[i].bytes, rb[i].bytes);
     EXPECT_EQ(ra[i].retry_bytes, rb[i].retry_bytes);
   }
+}
+
+// ---- on-demand routed encoding under a health mask vs the eager reference
+
+TEST(EdgeHdFaults, MaskedLazyRoutingMatchesEagerRouting) {
+  const auto ds = fault_dataset(500, 30);
+  core::EdgeHdSystem sys(ds, net::Topology::paper_tree(4), fault_cfg());
+  sys.train();
+  const auto& topo = sys.topology();
+  const auto leaves = topo.leaves();
+  const NodeId gw = topo.parent(leaves.front());
+  ASSERT_NE(gw, topo.root());
+  NodeId other_leaf = net::kNoNode;  // a leaf outside gw's subtree
+  for (NodeId leaf : leaves) {
+    if (topo.parent(leaf) != gw) other_leaf = leaf;
+  }
+  ASSERT_NE(other_leaf, net::kNoNode);
+  HealthMask mask(topo.num_nodes());
+  mask.set_node_up(gw, false)                // a dead gateway subtree
+      .set_link_loss(other_leaf, 0.3);       // and a lossy leaf uplink
+  sys.set_health(mask);
+  ASSERT_TRUE(sys.degraded_mode());
+  const auto diff = reference::expect_routing_matches_eager(sys, ds, 30);
+  EXPECT_GT(diff.served_at_start, 0u);
+  EXPECT_GT(diff.escalated, 0u);
+  if constexpr (obs::kEnabled) {
+    EXPECT_GT(diff.one_node_encoded, 0u);
+  }
+}
+
+TEST(EdgeHdFaults, MaskedLazyRoutingMatchesEagerOnTheDeepTree) {
+  auto ds = data::make_synthetic("deep", 104, 3,
+                                 std::vector<std::size_t>(52, 2), 400, 8, 53,
+                                 3.6F, 0.5F, 0.5F);
+  data::zscore_normalize(ds);
+  auto cfg = fault_cfg();
+  cfg.total_dim = 2000;
+  cfg.min_node_dim = 16;
+  cfg.confidence_threshold = 0.9;
+  core::EdgeHdSystem sys(ds, net::Topology::uniform_depth(52, 5), cfg);
+  sys.train();
+  const auto& topo = sys.topology();
+  const auto leaves = topo.leaves();
+  HealthMask mask(topo.num_nodes());
+  mask.set_node_up(leaves[0], false)                   // dead origin
+      .set_link_up(leaves[5], false)                   // orphaned leaf
+      .set_node_up(topo.parent(topo.parent(leaves[20])), false)
+      .set_link_loss(topo.parent(leaves[40]), 0.2);
+  sys.set_health(mask);
+  const auto diff = reference::expect_routing_matches_eager(sys, ds, 8);
+  EXPECT_GT(diff.escalated, 0u);
+  EXPECT_GT(diff.unserved, 0u);  // the dead origin
+}
+
+TEST(EdgeHdFaults, FailFastLazyRoutingMatchesEagerRouting) {
+  const auto ds = fault_dataset(500, 20);
+  auto cfg = fault_cfg();
+  cfg.aggregation = hier::AggregationMode::kConcatenation;
+  cfg.failover.serve_degraded = false;
+  cfg.confidence_threshold = 0.9;
+  core::EdgeHdSystem sys(ds, net::Topology::paper_tree(4), cfg);
+  sys.train();
+  const auto& topo = sys.topology();
+  HealthMask mask(topo.num_nodes());
+  mask.set_link_up(topo.leaves().back(), false);  // cut escalations go unserved
+  sys.set_health(mask);
+  const auto diff = reference::expect_routing_matches_eager(sys, ds, 20);
+  EXPECT_GT(diff.unserved, 0u);
+}
+
+TEST(EdgeHdFaults, MaskedOnlineFeedbackTargetsTheMaskedEncoding) {
+  // Under a mask, feedback must target the silenced encoding the serving
+  // node classified (what routing built), not the fault-free one.
+  const auto ds = fault_dataset(500, 80);
+  core::EdgeHdSystem sys(ds, net::Topology::paper_tree(4), fault_cfg());
+  sys.train();
+  const auto& topo = sys.topology();
+  const auto start = topo.leaves().back();
+  HealthMask mask(topo.num_nodes());
+  mask.set_node_up(topo.leaves().front(), false);  // the root aggregate thins
+  sys.set_health(mask);
+  const reference::EagerEncoder encoder(sys, ds);
+  std::size_t checked_above = 0;
+  for (std::size_t s = 0; s < ds.test_size(); ++s) {
+    const auto& x = ds.test_x[s];
+    std::vector<std::vector<hdc::AccumHV>> before(topo.num_nodes());
+    for (NodeId id = 0; id < topo.num_nodes(); ++id) {
+      for (std::size_t c = 0; c < ds.num_classes; ++c) {
+        before[id].push_back(sys.classifier_at(id).class_accumulator(c));
+      }
+    }
+    const auto r = sys.online_serve(x, ds.test_y[s], start);
+    if (!r.served() || r.label == ds.test_y[s]) continue;
+    sys.propagate_residuals();
+    const auto hv = encoder.encode_all(x, sys.health())[r.node];
+    hdc::AccumHV want = before[r.node][r.label];
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      want[i] -= static_cast<std::int32_t>(sys.config().feedback_weight) * hv[i];
+    }
+    EXPECT_EQ(sys.classifier_at(r.node).class_accumulator(r.label), want);
+    if (r.node != start) ++checked_above;
+  }
+  EXPECT_GT(checked_above, 0u);
 }
 
 }  // namespace

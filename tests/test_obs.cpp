@@ -9,6 +9,9 @@
 // no-ops there); the inert-handle test runs in both configurations.
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -254,6 +257,92 @@ TEST(MetricsRegistry, CountersSumAcrossConcurrentThreads) {
   for (auto& w : workers) w.join();
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kIters);
   EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kIters);
+}
+
+TEST(MetricsRegistry, ExitedThreadsFoldIntoOneRetiredShard) {
+  SKIP_IF_OBS_OFF();
+  // Each exiting writer's shard is folded into the retired shard and freed:
+  // totals survive and the shard count stays flat across thread churn.
+  obs::MetricsRegistry reg;
+  const obs::Counter c = reg.counter("churn");
+  const obs::Histogram h = reg.histogram("churn_hist", {1.0, 2.0});
+  constexpr int kRounds = 10;
+  constexpr int kThreads = 4;
+  for (int round = 1; round <= kRounds; ++round) {
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&] {
+        c.inc(3);
+        h.observe(2.5);
+      });
+    }
+    for (auto& w : workers) w.join();
+    const auto n = static_cast<std::uint64_t>(round * kThreads);
+    EXPECT_EQ(c.value(), 3 * n);
+    EXPECT_EQ(h.count(), n);
+    EXPECT_EQ(h.counts().back(), n);  // the overflow bucket kept its counts
+    EXPECT_EQ(h.sum(), 3 * n);        // llround(2.5) == 3
+    EXPECT_EQ(reg.shard_count(), 1u);  // only the retired shard is left
+  }
+  EXPECT_NE(reg.to_json().find("\"churn\":120"), std::string::npos);
+  reg.reset();
+  EXPECT_EQ(c.value(), 0u);
+  EXPECT_EQ(h.count(), 0u);
+}
+
+TEST(MetricsRegistry, WriteFromALaterThreadLocalDestructorStillCounts) {
+  SKIP_IF_OBS_OFF();
+  // A thread-local built before the thread's first metric write is destroyed
+  // after its shards were retired; its write lands in the retired shard.
+  obs::MetricsRegistry reg;
+  const obs::Counter c = reg.counter("late");
+  struct IncOnExit {
+    obs::Counter counter;
+    ~IncOnExit() { counter.inc(5); }
+  };
+  std::thread([&] {
+    thread_local IncOnExit late{c};
+    c.inc();
+  }).join();
+  EXPECT_EQ(c.value(), 6u);
+  EXPECT_EQ(reg.shard_count(), 1u);
+}
+
+TEST(MetricsRegistry, ThreadOutlivingItsRegistryExitsCleanly) {
+  SKIP_IF_OBS_OFF();
+  // The writer exits after one registry it wrote to is gone: its shard of
+  // the dead registry must be left alone (the sanitizer legs would flag a
+  // use after free), while the live registry still receives its totals.
+  auto doomed = std::make_unique<obs::MetricsRegistry>();
+  obs::MetricsRegistry kept;
+  const obs::Counter dc = doomed->counter("d");
+  const obs::Counter kc = kept.counter("k");
+  std::mutex mu;
+  std::condition_variable cv;
+  bool wrote = false;
+  bool registry_gone = false;
+  std::thread writer([&] {
+    dc.inc();
+    kc.inc(2);
+    std::unique_lock<std::mutex> lk(mu);
+    wrote = true;
+    cv.notify_all();
+    cv.wait(lk, [&] { return registry_gone; });
+  });
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return wrote; });
+  }
+  EXPECT_EQ(dc.value(), 1u);
+  doomed.reset();
+  {
+    const std::lock_guard<std::mutex> lk(mu);
+    registry_gone = true;
+  }
+  cv.notify_all();
+  writer.join();
+  EXPECT_EQ(kc.value(), 2u);
+  EXPECT_EQ(kept.shard_count(), 1u);
 }
 
 // --------------------------------------------------------------- tracer

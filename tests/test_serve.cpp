@@ -16,6 +16,7 @@
 #include "net/medium.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
+#include "reference_routing.hpp"
 #include "serve/engine.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/queue.hpp"
@@ -258,6 +259,39 @@ TEST(ObsServeInvariants, BatchedEscalationAccountingPartitions) {
   EXPECT_EQ(reg.counter_value("serve.submitted"), report.submitted);
   EXPECT_EQ(reg.counter_value("serve.batches"), report.batches);
   EXPECT_EQ(reg.counter_value("serve.slo_violations"), report.slo_violations);
+}
+
+TEST(ObsServeInvariants, EngineEncodesOnlyTheServingSubtree) {
+  if constexpr (!obs::kEnabled) {
+    GTEST_SKIP() << "observability compiled out (-DEDGEHD_OBS=OFF)";
+  }
+  // A query's leaf is encoded once by its micro-batch, which then seeds the
+  // on-demand encoding: fault-free and without sheds, a query served at node
+  // n encodes exactly n's subtree — the same count the sync walk reports.
+  const World w = make_world(2, /*threshold=*/0.7);
+  const auto& topo = w.sys->topology();
+  const auto leaves = topo.leaves();
+  auto& reg = obs::MetricsRegistry::global();
+  reg.reset();
+  const auto report = w.sys->serve_run(
+      deep_queues(), serve::LoadSpec::poisson({leaves.begin(), leaves.end()},
+                                              4000.0, 600, 31));
+  ASSERT_EQ(report.served, 600u);
+  ASSERT_GT(report.escalation_hops, 0u);
+  std::uint64_t subtrees = 0;
+  std::uint64_t leaf_served = 0;
+  for (const serve::Reply& r : report.replies) {
+    subtrees += reference::subtree_size(topo, r.result.node);
+    if (r.result.node == r.origin) ++leaf_served;
+  }
+  ASSERT_GT(leaf_served, 0u);
+  EXPECT_EQ(reg.counter_value("core.routed.encoded_nodes"), subtrees);
+
+  reg.reset();
+  for (const serve::Reply& r : report.replies) {
+    (void)w.sys->infer_routed(w.ds.test_x[r.sample], r.origin);
+  }
+  EXPECT_EQ(reg.counter_value("core.routed.encoded_nodes"), subtrees);
 }
 
 // ------------------------------------------------------- faults + overload
